@@ -299,10 +299,6 @@ def connector_of(s, a, keys2: Iterable) -> ConnectorType:
     return ConnectorType(ts)
 
 
-def inverse2(t: AdjType) -> AdjType:
-    return t.inverse(2)
-
-
 # ---------------------------------------------------------------------------
 # Compatibility and coherence
 
@@ -315,7 +311,7 @@ def compatible(omega: ConnectorType, nf) -> bool:
     delta = nf.delta
     delta_hat = syntax.hat(delta, 3)
     members = sorted(omega.types, key=lambda t: t.bits)
-    inverses = [inverse2(z) for z in members]
+    inverses = [z.inverse(2) for z in members]
     # Existential witness for a stalled pair.
     for gamma in gammas:
         g112 = syntax.substitute_walk(gamma, (1, 1, 2))
@@ -349,11 +345,11 @@ def coherent(connector_types: Iterable) -> bool:
     omegas = list(connector_types)
     for om in omegas:
         for zeta in om.types:
-            inv = inverse2(zeta)
+            inv = zeta.inverse(2)
             if not any(inv in om2.types for om2 in omegas):
                 return False
     for om in omegas:
         for om2 in omegas:
-            if not any(inverse2(z) in om2.types for z in om.types):
+            if not any(z.inverse(2) in om2.types for z in om.types):
                 return False
     return True

@@ -5,8 +5,9 @@ length bound, products, and bounded agreement.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from . import syntax
 from .syntax import (Atom, And, Or, Not, Implies, Iff, Forall, Exists,
@@ -93,26 +94,6 @@ def complete_signature(s: Structure, f: Formula) -> Structure:
 # ---------------------------------------------------------------------------
 # Model checking
 
-def _guard_bindings(s: Structure, guard: Atom, env: dict) -> Iterable[dict]:
-    """Assignments extending env that make the guard atom true, one dict of
-    newly bound variables per matching extension tuple."""
-    key = (guard.pred, guard.arity)
-    if key not in s.extensions:
-        raise SemanticsError(f"predicate {guard.pred}/{guard.arity} not interpreted")
-    for t in s.extensions[key]:
-        new: dict = {}
-        ok = True
-        for name, value in zip(guard.args, t):
-            bound = env.get(name, new.get(name))
-            if bound is None:
-                new[name] = value
-            elif bound != value:
-                ok = False
-                break
-        if ok:
-            yield new
-
-
 def _quantifier_chain(f: Formula):
     cls = type(f)
     chain = []
@@ -122,18 +103,71 @@ def _quantifier_chain(f: Formula):
     return cls, chain, f
 
 
+def _guarded(cls, chain: list, body: Formula):
+    """The guard atom of ``forall chain (guard -> phi)`` or ``exists chain
+    (... & guard & ...)`` together with the formulas that must hold at each
+    of its matches, or None.  The guard must mention every quantified
+    variable."""
+    if cls is Forall:
+        if (isinstance(body, Implies) and isinstance(body.left, Atom)
+                and set(chain) <= set(body.left.args)):
+            return body.left, (body.right,)
+    elif isinstance(body, And):
+        for i, conj in enumerate(body.args):
+            if isinstance(conj, Atom) and set(chain) <= set(conj.args):
+                return conj, body.args[:i] + body.args[i + 1:]
+    return None
+
+
+def _getter(positions: list):
+    """The function taking a tuple to its entries at ``positions``."""
+    if len(positions) == 1:
+        i, = positions
+        return lambda t: (t[i],)
+    return operator.itemgetter(*positions) if positions else lambda t: ()
+
+
+def _guard_index(s: Structure, guard: Atom, bound: tuple,
+                 quantified: tuple) -> dict:
+    """Map the values of the bound variables to the set of value tuples of
+    the quantified variables that make the guard true.  A tuple of the
+    extension matches only if it agrees at every repeated variable."""
+    key = (guard.pred, guard.arity)
+    if key not in s.extensions:
+        raise SemanticsError(f"predicate {guard.pred}/{guard.arity} not interpreted")
+    first: dict = {}
+    for i, a in enumerate(guard.args):
+        first.setdefault(a, i)
+    repeats = [(first[a], i) for i, a in enumerate(guard.args) if first[a] != i]
+    left = _getter([i for i, _ in repeats])
+    right = _getter([j for _, j in repeats])
+    key_of = _getter([first[a] for a in bound])
+    row_of = _getter([first[a] for a in quantified])
+    index: dict = {}
+    for t in s.extensions[key]:
+        if left(t) == right(t):
+            index.setdefault(key_of(t), set()).add(row_of(t))
+    return index
+
+
 def evaluate(s: Structure, f: Formula,
              assignment: Union[Sequence, Mapping] = ()) -> bool:
     """Standard satisfaction.  ``assignment`` binds x1..xk positionally, or
-    is a name-to-element mapping."""
+    is a name-to-element mapping.
+
+    A guarded quantifier, ``forall xs (g -> phi)`` or ``exists xs (g & phi)``
+    with an atom g on every variable of xs, ranges only over the matches of
+    g: they are looked up in an index of g's extension keyed on its bound
+    argument positions, built once per call.  Every other quantifier
+    enumerates the domain."""
     if isinstance(assignment, Mapping):
         env = dict(assignment)
     else:
         env = {syntax.var(i + 1): a for i, a in enumerate(assignment)}
-    return _eval(s, f, env)
+    return _eval(s, f, env, {})
 
 
-def _eval(s: Structure, f: Formula, env: dict) -> bool:
+def _eval(s: Structure, f: Formula, env: dict, indexes: dict) -> bool:
     if isinstance(f, Atom):
         try:
             args = tuple(env[a] for a in f.args)
@@ -141,47 +175,33 @@ def _eval(s: Structure, f: Formula, env: dict) -> bool:
             raise SemanticsError(f"unbound variable {e.args[0]!r}")
         return s.holds(f.pred, args)
     if isinstance(f, syntax.Unit):
-        return _eval(s, f.body, env)
+        return _eval(s, f.body, env, indexes)
     if isinstance(f, Not):
-        return not _eval(s, f.body, env)
+        return not _eval(s, f.body, env, indexes)
     if isinstance(f, And):
-        return all(_eval(s, c, env) for c in f.args)
+        return all(_eval(s, c, env, indexes) for c in f.args)
     if isinstance(f, Or):
-        return any(_eval(s, c, env) for c in f.args)
+        return any(_eval(s, c, env, indexes) for c in f.args)
     if isinstance(f, Implies):
-        return (not _eval(s, f.left, env)) or _eval(s, f.right, env)
+        return (not _eval(s, f.left, env, indexes)) or _eval(s, f.right, env, indexes)
     if isinstance(f, Iff):
-        return _eval(s, f.left, env) == _eval(s, f.right, env)
+        return _eval(s, f.left, env, indexes) == _eval(s, f.right, env, indexes)
     cls, chain, body = _quantifier_chain(f)
-    # Guard-aware fast path: quantify only over the guard's extension.
-    if cls is Forall and isinstance(body, Implies) and isinstance(body.left, Atom):
-        guard = body.left
-        if set(chain) <= set(guard.args) and free_vars(body) <= set(env) | set(chain):
-            seen = set()
-            for new in _guard_bindings(s, guard, env):
-                frozen = tuple(sorted(new.items(), key=lambda kv: str(kv[0])))
-                if frozen in seen:
-                    continue
-                seen.add(frozen)
-                if not _eval(s, body.right, {**env, **new}):
-                    return False
-            return True
-    if cls is Exists and isinstance(body, And):
-        for i, conj in enumerate(body.args):
-            if isinstance(conj, Atom) and set(chain) <= set(conj.args):
-                rest = syntax.make_and(
-                    [c for j, c in enumerate(body.args) if j != i] or
-                    [syntax.TRUE])
-                if free_vars(body) <= set(env) | set(chain):
-                    for new in _guard_bindings(s, conj, env):
-                        if set(chain) <= set(new) | set(env):
-                            if _eval(s, rest, {**env, **new}):
-                                return True
-                    return False
-    # General case, one variable at a time.
-    if cls is Forall:
-        return all(_eval(s, f.body, {**env, f.var: a}) for a in s.domain)
-    return any(_eval(s, f.body, {**env, f.var: a}) for a in s.domain)
+    test = all if cls is Forall else any
+    guarded = _guarded(cls, chain, body)
+    if guarded is not None and free_vars(body) <= set(env) | set(chain):
+        guard, rest = guarded
+        # A quantified variable shadows any outer binding of its name.
+        bound = tuple(dict.fromkeys(a for a in guard.args if a not in chain))
+        quantified = tuple(dict.fromkeys(a for a in guard.args if a in chain))
+        key = (guard.pred, guard.args, bound)
+        if key not in indexes:
+            indexes[key] = _guard_index(s, guard, bound, quantified)
+        rows = indexes[key].get(tuple(env[a] for a in bound), ())
+        return test(all(_eval(s, g, {**env, **dict(zip(quantified, row))},
+                              indexes) for g in rest)
+                    for row in rows)
+    return test(_eval(s, f.body, {**env, f.var: a}, indexes) for a in s.domain)
 
 
 # ---------------------------------------------------------------------------

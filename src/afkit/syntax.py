@@ -775,10 +775,6 @@ def _clauses(f: Formula, mode: str, cap: int) -> list:
     return rec(_nnf(f, False))
 
 
-def _literal_free_vars(lit: Formula) -> frozenset:
-    return free_vars(lit)
-
-
 # ---------------------------------------------------------------------------
 # Two-variable logic <-> adjacent form
 
@@ -827,8 +823,8 @@ def _properly_sequence(f: Formula, cap: int) -> Formula:
         if isinstance(f, Forall):
             conjuncts = []
             for clause in _clauses(body, "cnf", cap):
-                with_y = [l for l in clause if y in _literal_free_vars(l)]
-                rest = [l for l in clause if y not in _literal_free_vars(l)]
+                with_y = [l for l in clause if y in free_vars(l)]
+                rest = [l for l in clause if y not in free_vars(l)]
                 if not with_y:
                     conjuncts.append(make_or(rest))
                 else:
@@ -837,8 +833,8 @@ def _properly_sequence(f: Formula, cap: int) -> Formula:
             return make_and(conjuncts)
         disjuncts = []
         for clause in _clauses(body, "dnf", cap):
-            with_y = [l for l in clause if y in _literal_free_vars(l)]
-            rest = [l for l in clause if y not in _literal_free_vars(l)]
+            with_y = [l for l in clause if y in free_vars(l)]
+            rest = [l for l in clause if y not in free_vars(l)]
             if not with_y:
                 disjuncts.append(make_and(clause))
             else:
@@ -903,8 +899,8 @@ def _separate_units(f: Formula, cap: int) -> Formula:
         if isinstance(f, Forall):
             conjuncts = []
             for clause in _clauses(body, "cnf", cap):
-                with_y = [l for l in clause if y in _literal_free_vars(l)]
-                rest = [l for l in clause if y not in _literal_free_vars(l)]
+                with_y = [l for l in clause if y in free_vars(l)]
+                rest = [l for l in clause if y not in free_vars(l)]
                 if not with_y:
                     conjuncts.append(make_or(rest))
                 else:
@@ -913,8 +909,8 @@ def _separate_units(f: Formula, cap: int) -> Formula:
             return make_and(conjuncts)
         disjuncts = []
         for clause in _clauses(body, "dnf", cap):
-            with_y = [l for l in clause if y in _literal_free_vars(l)]
-            rest = [l for l in clause if y not in _literal_free_vars(l)]
+            with_y = [l for l in clause if y in free_vars(l)]
+            rest = [l for l in clause if y not in free_vars(l)]
             if not with_y:
                 disjuncts.append(make_and(clause))
             else:

@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afkit.semantics as M
 import afkit.syntax as S
@@ -39,6 +41,18 @@ def test_evaluate_basics():
     assert M.evaluate(s, S.parse("r(x1,x2)"), ("a", "b"))
     assert M.evaluate(s, S.parse("r(x1,x2)"), {"x1": "a", "x2": "b"})
     assert not M.evaluate(s, S.parse("r(x1,x2)"), ("b", "b"))
+
+
+def test_guarded_quantifier_shadows_and_repeats():
+    s = M.make_structure(["a", "b"], {("p", 1): [("a",), ("b",)],
+                                      ("q", 1): [("b",)],
+                                      ("r", 2): [("a", "b")]})
+    assert M.evaluate(s, S.parse("forall x1 exists x1 (p(x1) & q(x1))"))
+    assert M.evaluate(
+        s, S.parse("forall x1 (p(x1) -> exists x1 (p(x1) & q(x1)))"))
+    # A guard with a repeated variable matches only the diagonal.
+    assert not M.evaluate(s, S.parse("exists x1 (r(x1,x1) & p(x1))"))
+    assert M.evaluate(s, S.parse("forall x1 (r(x1,x1) -> q(x1))"))
 
 
 def test_complete_signature():
@@ -163,3 +177,104 @@ def test_layered_evaluation_matches_total():
             f = S.parse(text)
             assert M.evaluate_layered(lay, f) == M.evaluate(s, f)
         assert lay.overbound_queries == 0
+
+
+# ---------------------------------------------------------------------------
+# Differential test of evaluate against a reference evaluator
+
+def naive_evaluate(s, f, env):
+    """Reference satisfaction: every quantifier enumerates the domain."""
+    if isinstance(f, S.Atom):
+        return tuple(env[a] for a in f.args) in s.extensions[(f.pred, f.arity)]
+    if isinstance(f, S.Not):
+        return not naive_evaluate(s, f.body, env)
+    if isinstance(f, S.And):
+        return all(naive_evaluate(s, c, env) for c in f.args)
+    if isinstance(f, S.Or):
+        return any(naive_evaluate(s, c, env) for c in f.args)
+    if isinstance(f, S.Implies):
+        return (not naive_evaluate(s, f.left, env)
+                or naive_evaluate(s, f.right, env))
+    if isinstance(f, S.Iff):
+        return naive_evaluate(s, f.left, env) == naive_evaluate(s, f.right, env)
+    test = all if isinstance(f, S.Forall) else any
+    return test(naive_evaluate(s, f.body, {**env, f.var: a}) for a in s.domain)
+
+
+VARS = ("x1", "x2", "x3")
+PREDS = (("c", 0), ("p", 1), ("q", 1), ("r", 2), ("t", 3))
+
+
+@st.composite
+def structures(draw):
+    domain = tuple(f"e{i}" for i in range(draw(st.integers(1, 3))))
+    exts = {}
+    for name, arity in PREDS:
+        tuples = list(itertools.product(domain, repeat=arity))
+        keep = draw(st.lists(st.booleans(), min_size=len(tuples),
+                             max_size=len(tuples)))
+        exts[(name, arity)] = frozenset(t for t, k in zip(tuples, keep) if k)
+    return M.Structure(domain, exts)
+
+
+@st.composite
+def atoms(draw):
+    name, arity = draw(st.sampled_from(PREDS))
+    args = draw(st.lists(st.sampled_from(VARS), min_size=arity,
+                         max_size=arity))
+    return S.Atom(name, tuple(args))
+
+
+@st.composite
+def guarded(draw, bodies):
+    """forall chain (guard -> phi) or exists chain (... & guard & ...), with
+    a guard on every chain variable; chain variables may repeat and may
+    shadow outer bindings, guard variables may repeat."""
+    chain = draw(st.lists(st.sampled_from(VARS), min_size=1, max_size=3))
+    names = list(dict.fromkeys(chain))
+    name, arity = draw(st.sampled_from(
+        [pa for pa in PREDS if pa[1] >= len(names)]))
+    repeat = st.one_of(st.sampled_from(names), st.sampled_from(VARS))
+    extra = draw(st.lists(repeat, min_size=arity - len(names),
+                          max_size=arity - len(names)))
+    guard = S.Atom(name, tuple(draw(st.permutations(names + extra))))
+    if draw(st.booleans()):
+        f, cls = S.Implies(guard, draw(bodies)), S.Forall
+    else:
+        others = draw(st.lists(bodies, max_size=2))
+        at = draw(st.integers(0, len(others)))
+        f = S.And(tuple(others[:at]) + (guard,) + tuple(others[at:]))
+        cls = S.Exists
+    for v in reversed(chain):
+        f = cls(v, f)
+    return f
+
+
+formulas = st.recursive(atoms(), lambda kids: st.one_of(
+    kids.map(S.Not),
+    st.lists(kids, max_size=3).map(lambda xs: S.And(tuple(xs))),
+    st.lists(kids, max_size=3).map(lambda xs: S.Or(tuple(xs))),
+    st.builds(S.Implies, kids, kids),
+    st.builds(S.Iff, kids, kids),
+    st.builds(S.Forall, st.sampled_from(VARS), kids),
+    st.builds(S.Exists, st.sampled_from(VARS), kids),
+    guarded(kids),
+), max_leaves=10)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_evaluate_matches_naive_oracle(data):
+    s = data.draw(structures())
+    f = data.draw(st.one_of(guarded(formulas), formulas))
+    free = S.free_vars(f)
+    element = st.sampled_from(s.domain)
+    if data.draw(st.booleans()):
+        need = max((S.var_index(v) for v in free), default=0)
+        assignment = tuple(data.draw(st.lists(element, min_size=need,
+                                              max_size=len(VARS))))
+        env = {S.var(i + 1): a for i, a in enumerate(assignment)}
+    else:
+        names = free | data.draw(st.frozensets(st.sampled_from(VARS)))
+        assignment = env = {v: data.draw(element) for v in sorted(names)}
+    assert M.evaluate(s, f, assignment) == naive_evaluate(s, f, env)

@@ -54,7 +54,6 @@ def test_type_of_tuple_and_inverse():
     assert t.entails(S.parse("r(x1,x2) & !r(x2,x1)"))
     ti = t.inverse(2)
     assert ti == T.type_of_tuple(s, ("b", "a"), keys)
-    assert T.inverse2(t) == ti
     assert ti.inverse(2) == t
 
 
