@@ -15,16 +15,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import syntax
-from .syntax import Atom, Formula, FormulaError
+from .syntax import Atom, Formula, FormulaError, ResourceError
 from . import words as W
 
 AtomKey = tuple  # (pred: str, word: tuple of ints)
 
 DEFAULT_ATOM_CAP = 24
-
-
-class TypeResourceError(RuntimeError):
-    """An enumeration would exceed the configured atom cap."""
 
 
 def atom_key(a: Atom) -> AtomKey:
@@ -119,7 +115,7 @@ def enumerate_types(keys: Iterable, cap: int = DEFAULT_ATOM_CAP) -> Iterator[Adj
     atoms = sort_keys(keys)
     n = len(atoms)
     if n > cap:
-        raise TypeResourceError(f"{n} atoms exceeds the cap of {cap}")
+        raise ResourceError(f"{n} atoms exceeds the cap of {cap}")
     for i in range(1 << n):
         bits = tuple(bool((i >> (n - 1 - p)) & 1) for p in range(n))
         yield AdjType(atoms, bits)
@@ -176,9 +172,50 @@ def _eval3(f: Formula, assign: dict) -> Optional[bool]:
     raise FormulaError("consistency check requires a quantifier-free formula")
 
 
-def _collect_keys(f: Formula, out: set) -> None:
-    for a in syntax.atoms(f):
-        out.add(atom_key(a))
+def _split_parts(parts: Sequence) -> Optional[tuple]:
+    """(assignment fixed by the types among parts, conjunction of the
+    formulas among them), or None when two of the types disagree."""
+    assign: dict = {}
+    formulas = []
+    for p in parts:
+        if isinstance(p, AdjType):
+            for key, val in p.items():
+                if assign.setdefault(key, val) != val:
+                    return None
+        else:
+            if not syntax.is_quantifier_free(p):
+                raise FormulaError("consistency check requires quantifier-free input")
+            formulas.append(p)
+    return assign, syntax.make_and(formulas or [syntax.TRUE])
+
+
+def _free_keys(conj: Formula, bound, cap: int) -> list:
+    """The sorted atom keys of conj outside ``bound``, at most cap of them."""
+    free = sorted({atom_key(a) for a in syntax.atoms(conj)} - set(bound))
+    if len(free) > cap:
+        raise ResourceError(f"{len(free)} free atoms exceeds the cap of {cap}")
+    return free
+
+
+def _dpll(conj: Formula, order: Sequence, assign: dict) -> bool:
+    """Extend ``assign`` along ``order``, False before True, until conj
+    evaluates to true; ``assign`` is then left at that partial assignment,
+    the first in lexicographic order.  ``order`` must hold every key of
+    conj that ``assign`` leaves open."""
+
+    def search(i: int) -> bool:
+        v = _eval3(conj, assign)
+        if v is not None:
+            return v
+        key = order[i]
+        for choice in (False, True):
+            assign[key] = choice
+            if search(i + 1):
+                return True
+        del assign[key]
+        return False
+
+    return search(0)
 
 
 def consistent(parts: Sequence, cap: int = DEFAULT_ATOM_CAP) -> bool:
@@ -186,45 +223,40 @@ def consistent(parts: Sequence, cap: int = DEFAULT_ATOM_CAP) -> bool:
     formulas and/or types, treating each atom key as an independent
     variable.  Sound here because distinct index words name distinct tuples
     once the variables are instantiated with distinct elements."""
-    assign: dict = {}
-    formulas = []
-    for p in parts:
-        if isinstance(p, AdjType):
-            for key, val in p.items():
-                if key in assign and assign[key] != val:
-                    return False
-                assign[key] = val
-        else:
-            if not syntax.is_quantifier_free(p):
-                raise FormulaError("consistency check requires quantifier-free input")
-            formulas.append(p)
-    keys: set = set()
-    for f in formulas:
-        _collect_keys(f, keys)
-    free = sorted(keys - set(assign))
-    if len(free) > cap:
-        raise TypeResourceError(f"{len(free)} free atoms exceeds the cap of {cap}")
-    conj = syntax.make_and(formulas or [syntax.TRUE])
-
-    def dpll(i: int, assign: dict) -> bool:
-        v = _eval3(conj, assign)
-        if v is not None:
-            return v
-        key = free[i]
-        for choice in (False, True):
-            assign[key] = choice
-            if dpll(i + 1, assign):
-                return True
-        del assign[key]
+    split = _split_parts(parts)
+    if split is None:
         return False
+    assign, conj = split
+    return _dpll(conj, _free_keys(conj, assign, cap), assign)
 
-    return dpll(0, assign)
+
+def first_consistent_type(parts: Sequence, keys: Iterable,
+                          cap: int = DEFAULT_ATOM_CAP) -> Optional[AdjType]:
+    """The first type over ``keys``, in enumeration order, consistent with
+    the conjunction ``parts``, or None: ``next(satisfying_types(parts,
+    keys, cap), None)`` found by one search.  The search branches on the
+    open keys in sorted order, False first, and then on the formulas'
+    other atoms; keys the formulas do not mention are False."""
+    atoms = sort_keys(keys)
+    if len(atoms) > cap:
+        raise ResourceError(f"{len(atoms)} atoms exceeds the cap of {cap}")
+    split = _split_parts(parts)
+    if split is None:
+        return None
+    assign, conj = split
+    mentioned = {atom_key(a) for a in syntax.atoms(conj)}
+    order = [k for k in atoms if k in mentioned and k not in assign]
+    order += _free_keys(conj, set(assign) | set(atoms), cap)
+    if not _dpll(conj, order, assign):
+        return None
+    return AdjType(atoms, tuple(assign.get(k, False) for k in atoms))
 
 
 def satisfying_types(parts: Sequence, keys: Iterable,
                      cap: int = DEFAULT_ATOM_CAP) -> Iterator[AdjType]:
     """Types over ``keys`` consistent with the given conjunction, in
-    enumeration order."""
+    enumeration order; the reference definition of
+    ``first_consistent_type``."""
     for t in enumerate_types(keys, cap):
         if consistent(list(parts) + [t], cap):
             yield t

@@ -275,7 +275,7 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ResourceError, T.TypeResourceError) as exc:
+    except ResourceError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
     except (FormulaError, ParseError, W.WordError, M.SemanticsError,

@@ -5,7 +5,9 @@ three-variable case with model construction, and a brute-force oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -13,7 +15,7 @@ from . import aftypes as T
 from . import semantics as M
 from . import syntax as S
 from . import words as W
-from .aftypes import AdjType, ConnectorType, TypeResourceError, consistent
+from .aftypes import AdjType, ConnectorType, consistent
 from .syntax import Formula, FormulaError, ResourceError
 
 
@@ -209,7 +211,7 @@ def reduce_step(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     sent = nf.sentence()
     keys_ell = T.relevant_atoms(sent, ell)
     if len(keys_ell) > atom_cap:
-        raise TypeResourceError(
+        raise ResourceError(
             f"{len(keys_ell)} relevant atoms at width {ell} exceeds cap {atom_cap}")
     delta_hat = S.hat(nf.delta, ell + 1)
     # An l-tuple realized in any model satisfies every universal instance,
@@ -247,7 +249,7 @@ DEFAULT_POOL_CAP = 1 << 22
 
 def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
                pool_cap: int = DEFAULT_POOL_CAP, want_model: bool = False,
-               reduced_j: bool = True, trace: Optional[list] = None) -> SatResult:
+               trace: Optional[list] = None) -> SatResult:
     """Certificate search for 3-variable normal-form sentences: SAT iff a
     non-empty coherent set of compatible connector-types exists."""
     if nf.ell != 2:
@@ -256,7 +258,7 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     sent = nf.sentence()
     keys2 = T.sort_keys(T.relevant_atoms(sent, 2))
     if len(keys2) > atom_cap:
-        raise TypeResourceError(
+        raise ResourceError(
             f"{len(keys2)} relevant atoms exceeds cap {atom_cap}")
     delta = nf.delta
     delta_hat = S.hat(delta, 3)
@@ -359,9 +361,8 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     trace.append({"stage": "certificate", "size": len(certificate)})
     result = SatResult(True, certificate=certificate, trace=trace)
     if want_model:
-        result.model = build_model(certificate, nf,
-                                   ModelParams(reduced_j=reduced_j),
-                                   atom_cap=atom_cap)
+        result.model = build_model(certificate, nf, atom_cap=atom_cap,
+                                   trace=trace)
     return result
 
 
@@ -529,180 +530,191 @@ def verify_normal_form(nf: NormalFormFormula, model: M.Structure) -> bool:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Construction parameters: three witnessing phases and a placement
-    index set with its fresh-choice function."""
+    """Construction parameters: the number of witnessing phases."""
 
     h_size: int = 3
-    j_size: int = 343
-    reduced_j: bool = False
 
 
-def _placement(params: ModelParams):
-    """(J elements, g: J x J -> J) with the fresh-choice properties, both
-    verified for the reduced set."""
-    if params.reduced_j:
-        size, table = W.small_pair_placement()
-        return list(range(size)), lambda j1, j2: table[(j1, j2)]
-    fc = W.fresh_choice(2)
-    elems = list(fc.domain())
-    return elems, lambda j1, j2: fc((j1, j2))
+@functools.lru_cache(maxsize=None)
+def _placement() -> tuple:
+    """``words.small_pair_placement()``, searched and verified once."""
+    return W.small_pair_placement()
+
+
+def _surjective_facts(t: AdjType, k: int) -> list:
+    """The literals of a k-type whose word covers every position, as
+    (predicate, 0-based positions, value): exactly the facts it fixes on a
+    k-tuple of distinct elements beyond those of its proper subtuples."""
+    full = set(range(1, k + 1))
+    return [(name, tuple(i - 1 for i in word), value)
+            for (name, word), value in t.items() if set(word) == full]
 
 
 def build_model(certificate: Sequence, nf: NormalFormFormula,
                 params: ModelParams = ModelParams(),
                 atom_cap: int = T.DEFAULT_ATOM_CAP,
-                verify: bool = True) -> M.Structure:
+                verify: bool = True,
+                trace: Optional[list] = None) -> M.Structure:
     """Three-stage construction of a finite model from a certificate,
-    always verified against the sentence before being returned."""
+    always verified against the sentence before being returned.
+
+    Elements are (connector-type, 2-type, phase, conjunct, placement)
+    index tuples; the placement indices and their fresh-choice function
+    are the verified ones of ``words.small_pair_placement``.  The stages
+    run over interned ids: every 2-type of the certificate gets an id in
+    bit order, with its inverse and shifted type computed once, and a pair
+    or triple of elements writes the precomputed facts its type fixes on
+    exactly those elements.  Each witnessing or joining 3-type is found
+    once per (incoming 2-type, outgoing 2-type, conjunct) by one ordered
+    search, ``aftypes.first_consistent_type``.  With a ``trace`` list, a
+    ``model`` row records the time, the domain and fact counts and the
+    number of 3-type searches."""
+    start = time.perf_counter()
     if nf.ell != 2:
         raise FormulaError("model construction handles 3-variable normal form")
     omegas = sorted(certificate, key=lambda om: om.serialize())
     sent = nf.sentence()
-    keys1 = T.sort_keys(T.relevant_atoms(sent, 1))
-    keys2 = T.sort_keys(T.relevant_atoms(sent, 2))
     keys3 = T.sort_keys(T.relevant_atoms(sent, 3))
     delta_hat = S.hat(nf.delta, 3)
     two_types = sorted({t for om in omegas for t in om.types},
-                      key=lambda t: t.bits)
-    gamma_index = list(range(len(nf.gammas))) or [0]
-    js, g_place = _placement(params)
-
-    om_id = {om: i for i, om in enumerate(omegas)}
+                       key=lambda t: t.bits)
     t_id = {t: i for i, t in enumerate(two_types)}
-    domain = [
-        (om_id[om], t_id[t], h, i, j)
-        for om in omegas for t in two_types
-        for h in range(params.h_size) for i in gamma_index
-        for j in range(len(js))
-    ]
-    om_of = {a: omegas[a[0]] for a in domain}
+    inv = [t_id[t.inverse(2)] for t in two_types]
+    shifted = [t.shift_up() for t in two_types]
+    pair_facts = [_surjective_facts(t, 2) for t in two_types]
+    members = [sorted(t_id[t] for t in om.types) for om in omegas]
+    # holder[t]: the first connector-type holding the inverse of t;
+    # link[o][o2]: the first member of o whose inverse o2 holds.
+    holder = [next(o for o, ms in enumerate(members) if inv[t] in ms)
+              for t in range(len(two_types))]
+    link = [[next(t for t in ms if inv[t] in ms2) for ms2 in members]
+            for ms in members]
 
-    facts: dict = {}
+    h_size = params.h_size
+    n_gammas = len(nf.gammas) or 1
+    j_size, placement = _placement()
+    domain = [(o, t, h, i, j)
+              for o in range(len(omegas)) for t in range(len(two_types))
+              for h in range(h_size) for i in range(n_gammas)
+              for j in range(j_size)]
+    n = len(domain)
+    # The element (holder[t], t, h, i, j) has id base[t] + h * h_stride +
+    # i * j_size + j: the witnesses for t live there.
+    h_stride = n_gammas * j_size
+    base = [(holder[t] * len(two_types) + t) * h_size * h_stride
+            for t in range(len(two_types))]
 
-    def set_fact(name: str, args: tuple, value: bool) -> None:
-        prev = facts.get((name, args))
-        if prev is not None and prev != value:
-            raise RuntimeError(
-                f"internal consistency failure: {name}{args!r} assigned twice")
-        facts[(name, args)] = value
+    facts: dict = {}  # (predicate, element ids) -> truth value
 
-    def write_type(t: AdjType, elems: tuple, surjective_only: bool) -> None:
-        k = len(elems)
-        for (name, word), value in t.items():
-            if surjective_only and set(word) != set(range(1, k + 1)):
-                continue
-            set_fact(name, tuple(W.apply_walk(elems, word)) if word else (),
-                     value)
+    def write(template: list, elems: tuple) -> None:
+        for name, word, value in template:
+            args = tuple([elems[p] for p in word])
+            if facts.setdefault((name, args), value) != value:
+                raise RuntimeError(
+                    f"internal consistency failure: {name}"
+                    f"{tuple(domain[x] for x in args)!r} assigned twice")
 
     # Stage 1: unary facts from each element's shared 1-type.
-    for a in domain:
-        pi = om_of[a].tp
-        for (name, word), value in pi.items():
-            set_fact(name, tuple(a for _ in word), value)
+    unary = [[(name, (0,) * len(word), value)
+              for (name, word), value in om.tp.items()] for om in omegas]
+    for a, (o, *_) in enumerate(domain):
+        write(unary[o], (a,))
 
     # Stage 2: circular witnessing, then a linking fill.
-    pair_type: dict = {}
-    witness_omega: dict = {}  # (omega id, 2-type id) -> omega id holding inverse
-    sorted_members = {om: sorted(om.types, key=lambda t: t.bits)
-                      for om in omegas}
-    for om in omegas:
-        for eta in sorted_members[om]:
-            inv_eta = eta.inverse(2)
-            target = next(o2 for o2 in omegas if inv_eta in o2.types)
-            witness_omega[(om_id[om], t_id[eta])] = om_id[target]
-    for a in domain:
-        om = om_of[a]
-        h = a[2]
-        for eta in sorted_members[om]:
-            target = witness_omega[(a[0], t_id[eta])]
-            for i in gamma_index:
-                for j in range(len(js)):
-                    b = (target, t_id[eta], (h + 1) % params.h_size, i, j)
-                    pair_type[(a, b)] = eta
-    for a, b in itertools.combinations(domain, 2):
-        if (a, b) in pair_type or (b, a) in pair_type:
-            continue
-        om, om2 = om_of[a], om_of[b]
-        eta = next(t for t in sorted_members[om]
-                   if t.inverse(2) in om2.types)
-        pair_type[(a, b)] = eta
-    for (a, b), eta in pair_type.items():
-        write_type(eta, (a, b), surjective_only=True)
+    pair = [-1] * (n * n)  # pair[a * n + b]: the 2-type id of (a, b)
 
-    def tp_pair(a, b) -> AdjType:
-        if (a, b) in pair_type:
-            return pair_type[(a, b)]
-        return pair_type[(b, a)].inverse(2)
+    def set_pair(a: int, b: int, t: int) -> None:
+        pair[a * n + b], pair[b * n + a] = t, inv[t]
+        write(pair_facts[t], (a, b))
+
+    for a, (o, _, h, _, _) in enumerate(domain):
+        for t in members[o]:
+            for i in range(n_gammas):
+                for j in range(j_size):
+                    set_pair(a, base[t] + (h + 1) % h_size * h_stride
+                             + i * j_size + j, t)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if pair[a * n + b] == -1:
+                set_pair(a, b, link[domain[a][0]][domain[b][0]])
 
     # Stage 3: adjacent 3-types, witnesses first, then the universal fill.
-    theta_cache: dict = {}
+    theta_facts: dict = {}  # (zeta, eta, gamma index or -1) -> facts
 
-    def first_type(parts: tuple) -> Optional[AdjType]:
-        if parts not in theta_cache:
-            found = None
-            for cand in T.enumerate_types(keys3, atom_cap):
-                if consistent(list(parts) + [cand], atom_cap):
-                    found = cand
-                    break
-            theta_cache[parts] = found
-        return theta_cache[parts]
+    def theta(zeta: int, eta: int, gi: int) -> list:
+        key = (zeta, eta, gi)
+        if key not in theta_facts:
+            extra = [nf.gammas[gi]] if gi >= 0 else []
+            found = T.first_consistent_type(
+                [two_types[zeta], shifted[eta], *extra, delta_hat],
+                keys3, atom_cap)
+            if found is None:
+                raise RuntimeError("internal consistency failure: no "
+                                   f"{'witnessing' if gi >= 0 else 'joining'}"
+                                   " type")
+            theta_facts[key] = _surjective_facts(found, 3)
+        return theta_facts[key]
 
-    assigned: set = set()
-    eta_cache: dict = {}
+    def witness_steps(zeta: int, o: int) -> list:
+        """Per conjunct, the witnessing facts for a pair of type zeta into
+        connector-type o, and the witness's id up to phase and placement;
+        eta is the first member of o that extends zeta."""
+        out = []
+        for gi, gamma in enumerate(nf.gammas):
+            eta = next(t for t in members[o]
+                       if consistent([two_types[zeta], shifted[t], gamma,
+                                      delta_hat], atom_cap))
+            out.append((theta(zeta, eta, gi), base[eta] + gi * j_size))
+        return out
 
-    def pick_eta(zeta: AdjType, om2, gi: int, gamma) -> AdjType:
-        key = (zeta, id(om2), gi)
-        if key not in eta_cache:
-            eta_cache[key] = next(
-                t for t in sorted_members[om2]
-                if consistent([zeta, t.shift_up(), gamma, delta_hat],
-                              atom_cap))
-        return eta_cache[key]
-
-    for a in domain:
-        for b in domain:
+    # The joining fill only ever writes atoms whose word covers all three
+    # positions; without such keys the facts are already complete.
+    joins = any(set(word) == {1, 2, 3} for _, word in keys3)
+    assigned: set = set()  # witnessed triples, closed under reversal
+    steps: dict = {}  # (zeta, omega) -> witness_steps(zeta, omega)
+    for a in range(n):
+        ja = domain[a][4]
+        for b in range(n):
             if a == b:
                 continue
-            zeta = tp_pair(a, b)
-            om2 = om_of[b]
-            for gi, gamma in enumerate(nf.gammas):
-                eta = pick_eta(zeta, om2, gi, gamma)
-                theta = first_type((zeta, eta.shift_up(), gamma, delta_hat))
-                if theta is None:
-                    raise RuntimeError(
-                        "internal consistency failure: no witnessing type")
-                target = witness_omega[(b[0], t_id[eta])]
-                c = (target, t_id[eta], (b[2] + 1) % params.h_size, gi,
-                     g_place(a[4], b[4]))
+            o2, _, h2, _, jb = domain[b]
+            key = (pair[a * n + b], o2)
+            if key not in steps:
+                steps[key] = witness_steps(*key)
+            shift = (h2 + 1) % h_size * h_stride + placement[(ja, jb)]
+            for template, offset in steps[key]:
+                c = offset + shift
                 if c == a or c == b:
                     raise RuntimeError("internal consistency failure: "
                                        "witness placement collided")
-                write_type(theta, (a, b, c), surjective_only=True)
-                assigned.add((a, b, c))
-                assigned.add((c, b, a))
-    # The joining fill only ever writes atoms whose word covers all three
-    # positions; without such keys the facts are already complete.
-    surjective3 = [key for key in keys3 if set(key[1]) == {1, 2, 3}]
-    for a, b, c in itertools.permutations(domain, 3) if surjective3 else ():
-        if (a, b, c) in assigned or (c, b, a) in assigned:
+                write(template, (a, b, c))
+                if joins:
+                    assigned.add((a, b, c))
+                    assigned.add((c, b, a))
+    for a, b, c in itertools.permutations(range(n), 3) if joins else ():
+        if (a, b, c) in assigned:
             continue
-        zeta = tp_pair(a, b)
-        eta = tp_pair(b, c)
-        theta = first_type((zeta, eta.shift_up(), delta_hat))
-        if theta is None:
-            raise RuntimeError("internal consistency failure: no joining type")
-        write_type(theta, (a, b, c), surjective_only=True)
+        write(theta(pair[a * n + b], pair[b * n + c], -1), (a, b, c))
         assigned.add((a, b, c))
         assigned.add((c, b, a))
 
-    exts: dict = {}
-    for name, arity in S.signature(sent).items():
-        exts[(name, arity)] = frozenset(
-            args for (n2, args), v in facts.items() if n2 == name and v)
+    true_args: dict = {}
+    for (name, args), value in facts.items():
+        if value:
+            true_args.setdefault(name, []).append(
+                tuple([domain[x] for x in args]))
+    exts = {(name, arity): frozenset(true_args.get(name, ()))
+            for name, arity in S.signature(sent).items()}
     model = M.Structure(tuple(domain), exts)
     if verify and not verify_normal_form(nf, model):
         raise RuntimeError(
             "internal consistency failure: constructed model fails the sentence")
+    if trace is not None:
+        trace.append({"stage": "model",
+                      "millis": round((time.perf_counter() - start) * 1000.0, 3),
+                      "elems": n,
+                      "facts": sum(len(ext) for ext in exts.values()),
+                      "theta_searches": len(theta_facts)})
     return model
 
 
@@ -719,7 +731,7 @@ def rename_model(model: M.Structure) -> M.Structure:
 
 def decide(f: Formula, atom_cap: int = T.DEFAULT_ATOM_CAP,
            pool_cap: int = DEFAULT_POOL_CAP, want_model: bool = False,
-           reduced_j: bool = True, max_variables: int = 6) -> SatResult:
+           max_variables: int = 6) -> SatResult:
     """Normalize, reduce the variable count to three, then run the
     certificate decider."""
     trace: list = []
@@ -734,9 +746,8 @@ def decide(f: Formula, atom_cap: int = T.DEFAULT_ATOM_CAP,
         nf = reduce_step(nf, atom_cap, counter)
         trace.append({"stage": "reduce", "variables": nf.variables,
                       "gammas": len(nf.gammas)})
-    result = decide_af3(nf, atom_cap, pool_cap, want_model=want_model,
-                        reduced_j=reduced_j, trace=trace)
-    return result
+    return decide_af3(nf, atom_cap, pool_cap, want_model=want_model,
+                      trace=trace)
 
 
 def _sensitive_ground_atoms(f: Formula, domain: tuple) -> list:

@@ -84,11 +84,19 @@ def structure_to_json(s: Structure) -> str:
 
 
 def complete_signature(s: Structure, f: Formula) -> Structure:
-    """Interpret any predicate of f missing from s with the empty extension."""
-    exts = dict(s.extensions)
-    for name, arity in syntax.signature(f).items():
-        exts.setdefault((name, arity), frozenset())
-    return Structure(s.domain, exts)
+    """Interpret any predicate of f missing from s with the empty extension.
+    Returns s itself when nothing is missing.  The tuples of s are not
+    checked again: s was checked when it was built, and an empty extension
+    needs no check."""
+    missing = {(name, arity): frozenset()
+               for name, arity in syntax.signature(f).items()
+               if (name, arity) not in s.extensions}
+    if not missing:
+        return s
+    completed = object.__new__(Structure)
+    object.__setattr__(completed, "domain", s.domain)
+    object.__setattr__(completed, "extensions", {**s.extensions, **missing})
+    return completed
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Command-line verbs, output shapes, exit codes, and determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 import afkit.cli as C
+from corpus import AF3_CORPUS, nf_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -168,3 +170,22 @@ def test_repeated_runs_identical(capsys, formula_file):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+# sha256 of `af model` stdout for AF3 corpus entries (numbered from 1):
+# two existential conjuncts, 17 atom keys, and a 300-element model.
+MODEL_DIGESTS = {
+    11: "0ed711c77756c99a53a85fafb14e3ad3529b5361d00b25a6e7ae1047e3c05fd9",
+    12: "f173676fcf4ba97ee3b1f371251ceee39e632a809966d2f5dcc62d1bf9ad94d1",
+    19: "71cebd86509cf0b9e33423a931417c7d0445db21dfbd430263d98bf00a656157",
+    23: "5863fecf6deaa8639c345a719ae65b8b844700f3e38a572fd015ef89304a4bac",
+    29: "932ca92b45fd2bac5e7816b083847d42153303c4d4b7b38f730382752172c7fd",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODEL_DIGESTS))
+def test_model_output_golden(capsys, formula_file, entry):
+    gammas, delta, _label = AF3_CORPUS[entry - 1]
+    code, out, _ = run(capsys, "model", formula_file(nf_text(gammas, delta, 2)))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MODEL_DIGESTS[entry]

@@ -125,8 +125,6 @@ def test_build_model_is_verified():
 def test_model_params_defaults():
     params = X.ModelParams()
     assert params.h_size == 3
-    assert params.j_size == 343
-    assert not params.reduced_j
 
 
 def test_rename_model():

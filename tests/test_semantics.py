@@ -63,6 +63,20 @@ def test_complete_signature():
     assert M.evaluate(full, f)
 
 
+def test_complete_signature_adds_only_missing_predicates():
+    s = M.make_structure(["a", "b"], {("r", 2): [("a", "b")]})
+    # Every predicate interpreted: the structure itself comes back.
+    assert M.complete_signature(s, S.parse("forall x1 r(x1,x1)")) is s
+    f = S.parse("forall x1 forall x2 (r(x1,x2) -> p(x1))")
+    full = M.complete_signature(s, f)
+    assert full.domain == s.domain
+    assert full.extensions == {("r", 2): s.extensions[("r", 2)],
+                               ("p", 1): frozenset()}
+    assert ("p", 1) not in s.extensions
+    assert not M.evaluate(full, f)
+    assert M.complete_signature(full, f) is full
+
+
 def _random_structure(rng, size, name, arity):
     domain = tuple(f"e{i}" for i in range(size))
     ext = frozenset(t for t in itertools.product(domain, repeat=arity)

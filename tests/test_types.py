@@ -2,6 +2,8 @@
 projection operator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afkit.aftypes as T
 import afkit.semantics as M
@@ -41,7 +43,7 @@ def test_enumerate_types():
 def test_enumerate_types_cap():
     keys = tuple(("p", (i % 2 + 1,)) for i in range(2)) + tuple(
         (f"p{i}", (1,)) for i in range(30))
-    with pytest.raises(T.TypeResourceError):
+    with pytest.raises(S.ResourceError):
         list(T.enumerate_types(keys, cap=24))
 
 
@@ -126,3 +128,53 @@ def test_connector_serialization_deterministic():
     c1 = T.connector_of(s, "a", keys)
     c2 = T.connector_of(s, "a", keys)
     assert c1.serialize() == c2.serialize()
+
+
+# Atom keys over x1..x3; formulas may mention keys outside the searched
+# ones, which the search must then decide as well.
+KEY_POOL = (("p", (1,)), ("p", (2,)), ("p", (3,)), ("q", ()),
+            ("r", (1, 1)), ("r", (1, 2)), ("r", (2, 1)), ("r", (2, 3)))
+
+qf_formulas = st.recursive(
+    st.sampled_from(KEY_POOL).map(T.key_atom),
+    lambda kids: st.one_of(
+        kids.map(S.Not),
+        st.lists(kids, min_size=1, max_size=3).map(lambda xs: S.And(tuple(xs))),
+        st.lists(kids, min_size=1, max_size=3).map(lambda xs: S.Or(tuple(xs))),
+        st.builds(S.Implies, kids, kids),
+        st.builds(S.Iff, kids, kids)),
+    max_leaves=8)
+
+
+@st.composite
+def fixed_types(draw):
+    atoms = T.sort_keys(draw(st.lists(st.sampled_from(KEY_POOL), min_size=1,
+                                      max_size=4, unique=True)))
+    bits = draw(st.lists(st.booleans(), min_size=len(atoms),
+                         max_size=len(atoms)))
+    return T.AdjType(atoms, tuple(bits))
+
+
+@settings(max_examples=400, deadline=None)
+@given(keys=st.lists(st.sampled_from(KEY_POOL), min_size=1, max_size=6,
+                     unique=True),
+       types=st.lists(fixed_types(), max_size=2),
+       formulas=st.lists(qf_formulas, max_size=2),
+       data=st.data())
+def test_first_consistent_type_matches_enumeration(keys, types, formulas,
+                                                   data):
+    parts = data.draw(st.permutations(types + formulas))
+    expected = next(T.satisfying_types(parts, keys), None)
+    assert T.first_consistent_type(parts, keys) == expected
+
+
+def test_first_consistent_type_examples():
+    keys = keys_for("r(x1,x2)", 2)
+    t = T.first_consistent_type([S.parse("r(x1,x2) & !r(x2,x1)")], keys)
+    assert t == next(T.satisfying_types([S.parse("r(x1,x2) & !r(x2,x1)")],
+                                        keys))
+    # Disagreeing types, or a contradiction, leave no type.
+    assert T.first_consistent_type([t, t.inverse(2)], keys) is None
+    assert T.first_consistent_type([S.parse("q & !q")], keys) is None
+    with pytest.raises(S.ResourceError):
+        T.first_consistent_type([], keys, cap=len(keys) - 1)
