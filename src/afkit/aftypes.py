@@ -10,7 +10,6 @@ atoms, never the full space of adjacent atoms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 

@@ -21,7 +21,7 @@ from . import words as W
 from .syntax import FormulaError, ParseError, ResourceError
 
 
-def _atom_cap(args) -> int:
+def _atom_cap() -> int:
     env = os.environ.get("AF_RESOURCE_CAP")
     if env is not None:
         try:
@@ -42,9 +42,7 @@ def _read_structure(path: str) -> M.Structure:
 
 
 def _emit_model(model: M.Structure, path: Optional[str]) -> None:
-    payload = json.dumps(
-        json.loads(M.structure_to_json(SAT.rename_model(model))),
-        indent=2, sort_keys=True)
+    payload = M.structure_to_json(SAT.rename_model(model))
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
@@ -101,13 +99,13 @@ def cmd_closure(args) -> int:
 
 def cmd_reduce(args) -> int:
     nf = SAT.normalize(_read_formula(args.file))
-    red = SAT.reduce_step(nf, atom_cap=_atom_cap(args), prune=not args.no_prune)
+    red = SAT.reduce_step(nf, atom_cap=_atom_cap(), prune=not args.no_prune)
     _print_nf(red, args.json)
     return 0
 
 
 def _run_sat(args, want_model: bool) -> int:
-    result = SAT.decide(_read_formula(args.file), atom_cap=_atom_cap(args),
+    result = SAT.decide(_read_formula(args.file), atom_cap=_atom_cap(),
                         pool_cap=args.pool_cap, want_model=want_model,
                         max_variables=args.max_vars)
     if args.json:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
 from . import semantics as M
@@ -346,15 +346,12 @@ class ConfigTree:
         return sum(1 for _ in self.vertices())
 
 
-def simulate_atm(machine: ATM, w: str, max_depth: int = 64,
-                 tape_cells: Optional[int] = None) -> tuple:
+def simulate_atm(machine: ATM, w: str, max_depth: int = 64) -> tuple:
     """Search for an accepting configuration tree.  Universal states must
     have both side transitions enabled unless accepting; existential states
     choose a branch, left first, with backtracking.  Returns a status in
     {"accept", "reject", "depth-exhausted"} and the tree on acceptance."""
-    cells = tape_cells if tape_cells is not None else 1 << len(w)
-    if len(w) > cells:
-        raise MachineError(f"input longer than the tape ({len(w)} > {cells})")
+    cells = 1 << len(w)
     tape = tuple(w) + (BLANK,) * (cells - len(w))
     for s in tape:
         if s not in machine.alphabet:

@@ -9,7 +9,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import aftypes as T
 from . import semantics as M
@@ -106,16 +106,23 @@ def _as_normal_form(f: Formula) -> Optional[NormalFormFormula]:
             gammas.append((k, matrix))
         else:
             deltas.append((k, matrix))
+    return _padded(gammas, deltas)
+
+
+def _padded(gammas: list, deltas: list, fresh: tuple = ()) -> NormalFormFormula:
+    """The normal form of witness conjuncts ``(k, matrix over x1..x_{k+1})``
+    and universal conjuncts ``(k, matrix over x1..xk)``, each shifted up to
+    the common depth l >= 2: the matrix then ends at x_{l+1}."""
     ell = max([2] + [k for k, _ in gammas] + [k - 1 for k, _ in deltas])
     padded_gammas = tuple(S.shift_up(m, ell - k) if ell > k else m
                           for k, m in gammas)
     padded_delta = S.make_and(
         [S.shift_up(m, ell + 1 - k) if ell + 1 > k else m for k, m in deltas]
         or [S.TRUE])
-    return NormalFormFormula(ell, padded_gammas, padded_delta)
+    return NormalFormFormula(ell, padded_gammas, padded_delta, fresh)
 
 
-def normalize(f: Formula, min_ell: int = 2) -> NormalFormFormula:
+def normalize(f: Formula) -> NormalFormFormula:
     """Bring an adjacent sentence to shape (2) by replacing innermost
     quantified subformulas with fresh predicates plus bridging conjuncts.
     Satisfiable over exactly the same domains as the input."""
@@ -127,7 +134,7 @@ def normalize(f: Formula, min_ell: int = 2) -> NormalFormFormula:
     f = normal
 
     direct = _as_normal_form(f)
-    if direct is not None and direct.ell >= min_ell:
+    if direct is not None:
         return direct
 
     fresh: list = []
@@ -158,12 +165,7 @@ def normalize(f: Formula, min_ell: int = 2) -> NormalFormFormula:
         f = replace_innermost(f)
     deltas.append((0, f))  # the residual propositional sentence
 
-    ell = max([min_ell] + [k for k, _ in gammas] + [n - 1 for n, _ in deltas])
-    padded_gammas = tuple(S.shift_up(m, ell - k) if ell > k else m
-                          for k, m in gammas)
-    padded_delta = S.make_and(
-        [S.shift_up(m, ell + 1 - n) if ell + 1 > n else m for n, m in deltas])
-    return NormalFormFormula(ell, padded_gammas, padded_delta, tuple(fresh))
+    return _padded(gammas, deltas, tuple(fresh))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +320,7 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
                 if b & 1:
                     omega |= 1 << i
                 b >>= 1
-            if _mask_compatible(omega, n, inv, start_masks, wit, link):
+            if _mask_compatible(omega, inv, start_masks, wit, link):
                 pool.append(omega)
     pool.sort()
     trace.append({"stage": "pool", "compatible": len(pool)})
@@ -349,7 +351,7 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     pruned = sorted(pool_set, key=lambda m: (bin(m).count("1"), m))
     trace.append({"stage": "closure", "remaining": len(pruned)})
 
-    cert_masks = _find_certificate(pruned, n, inv)
+    cert_masks = _find_certificate(pruned, inv)
     if cert_masks is None:
         trace.append({"stage": "certificate", "size": 0,
                       "reason": ("empty pool after closure" if not pruned
@@ -373,7 +375,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _mask_compatible(omega: int, n: int, inv, start_masks, wit, link) -> bool:
+def _mask_compatible(omega: int, inv, start_masks, wit, link) -> bool:
     for mask in start_masks:
         if not mask & omega:
             return False
@@ -393,7 +395,7 @@ def _mask_compatible(omega: int, n: int, inv, start_masks, wit, link) -> bool:
     return True
 
 
-def _find_certificate(pool: list, n: int, inv) -> Optional[list]:
+def _find_certificate(pool: list, inv) -> Optional[list]:
     """Smallest-first search for a non-empty subset of the pool that is
     closed under inverses and pairwise linked in both directions."""
     if not pool:
@@ -417,15 +419,6 @@ def _find_certificate(pool: list, n: int, inv) -> Optional[list]:
         for i in _bits(om):
             by_bit.setdefault(i, []).append(om)
     seen: set = set()
-
-    def closed(sel: frozenset) -> bool:
-        union = 0
-        for om in sel:
-            union |= om
-        for i in _bits(union):
-            if inv[i] is None or not any((1 << inv[i]) & om for om in sel):
-                return False
-        return True
 
     def needed(sel: frozenset) -> Optional[int]:
         for om in sorted(sel):
@@ -528,11 +521,7 @@ def verify_normal_form(nf: NormalFormFormula, model: M.Structure) -> bool:
     return bool(delta.all())
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Construction parameters: the number of witnessing phases."""
-
-    h_size: int = 3
+H_SIZE = 3  # witnessing phases: the witnesses of phase h live in h + 1 mod 3
 
 
 @functools.lru_cache(maxsize=None)
@@ -551,9 +540,7 @@ def _surjective_facts(t: AdjType, k: int) -> list:
 
 
 def build_model(certificate: Sequence, nf: NormalFormFormula,
-                params: ModelParams = ModelParams(),
                 atom_cap: int = T.DEFAULT_ATOM_CAP,
-                verify: bool = True,
                 trace: Optional[list] = None) -> M.Structure:
     """Three-stage construction of a finite model from a certificate,
     always verified against the sentence before being returned.
@@ -590,18 +577,17 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     link = [[next(t for t in ms if inv[t] in ms2) for ms2 in members]
             for ms in members]
 
-    h_size = params.h_size
     n_gammas = len(nf.gammas) or 1
     j_size, placement = _placement()
     domain = [(o, t, h, i, j)
               for o in range(len(omegas)) for t in range(len(two_types))
-              for h in range(h_size) for i in range(n_gammas)
+              for h in range(H_SIZE) for i in range(n_gammas)
               for j in range(j_size)]
     n = len(domain)
     # The element (holder[t], t, h, i, j) has id base[t] + h * h_stride +
     # i * j_size + j: the witnesses for t live there.
     h_stride = n_gammas * j_size
-    base = [(holder[t] * len(two_types) + t) * h_size * h_stride
+    base = [(holder[t] * len(two_types) + t) * H_SIZE * h_stride
             for t in range(len(two_types))]
 
     facts: dict = {}  # (predicate, element ids) -> truth value
@@ -631,7 +617,7 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
         for t in members[o]:
             for i in range(n_gammas):
                 for j in range(j_size):
-                    set_pair(a, base[t] + (h + 1) % h_size * h_stride
+                    set_pair(a, base[t] + (h + 1) % H_SIZE * h_stride
                              + i * j_size + j, t)
     for a in range(n):
         for b in range(a + 1, n):
@@ -681,7 +667,7 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
             key = (pair[a * n + b], o2)
             if key not in steps:
                 steps[key] = witness_steps(*key)
-            shift = (h2 + 1) % h_size * h_stride + placement[(ja, jb)]
+            shift = (h2 + 1) % H_SIZE * h_stride + placement[(ja, jb)]
             for template, offset in steps[key]:
                 c = offset + shift
                 if c == a or c == b:
@@ -706,7 +692,7 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     exts = {(name, arity): frozenset(true_args.get(name, ()))
             for name, arity in S.signature(sent).items()}
     model = M.Structure(tuple(domain), exts)
-    if verify and not verify_normal_form(nf, model):
+    if not verify_normal_form(nf, model):
         raise RuntimeError(
             "internal consistency failure: constructed model fails the sentence")
     if trace is not None:
@@ -748,17 +734,6 @@ def decide(f: Formula, atom_cap: int = T.DEFAULT_ATOM_CAP,
                       "gammas": len(nf.gammas)})
     return decide_af3(nf, atom_cap, pool_cap, want_model=want_model,
                       trace=trace)
-
-
-def _sensitive_ground_atoms(f: Formula, domain: tuple) -> list:
-    """Ground atoms reachable as substitution instances of f's atom words."""
-    out = set()
-    for a in S.atoms(f):
-        h = tuple(S.var_index(n) for n in a.args)
-        j = max(h, default=0)
-        for tup in itertools.product(domain, repeat=j):
-            out.add((a.pred, tuple(tup[i - 1] for i in h)))
-    return sorted(out)
 
 
 def _ground(f: Formula, domain: tuple, env: dict):
@@ -816,6 +791,16 @@ def _eval_ground(node, assign: dict) -> Optional[bool]:
     return out
 
 
+def _ground_atoms(node) -> set:
+    """The ground-atom keys of a tree built by ``_ground``."""
+    kind, payload = node
+    if kind == "atom":
+        return {payload}
+    if kind == "not":
+        return _ground_atoms(payload)
+    return set().union(*map(_ground_atoms, payload))
+
+
 def brute_force_sat(f: Formula, max_n: int = 3) -> Optional[M.Structure]:
     """Search for a model over domains e1..en for n = 1..max_n, restricting
     predicate extensions to substitution instances of the formula's atom
@@ -826,7 +811,7 @@ def brute_force_sat(f: Formula, max_n: int = 3) -> Optional[M.Structure]:
     for n in range(1, max_n + 1):
         domain = tuple(f"e{i}" for i in range(1, n + 1))
         tree = _ground(f, domain, {})
-        keys = _sensitive_ground_atoms(f, domain)
+        keys = sorted(_ground_atoms(tree))
         assign: dict = {}
 
         def dpll(i: int) -> bool:

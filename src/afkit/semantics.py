@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from . import syntax
 from .syntax import (Atom, And, Or, Not, Implies, Iff, Forall, Exists,
@@ -56,9 +56,15 @@ def structure_from_json(text: str) -> Structure:
     data = json.loads(text)
     if not isinstance(data, dict) or "domain" not in data:
         raise SemanticsError("structure JSON needs a 'domain' key")
-    domain = tuple(data["domain"])
+    domain = data["domain"]
+    if not isinstance(domain, list) or any(isinstance(a, (list, dict))
+                                           for a in domain):
+        raise SemanticsError("'domain' must be a list of scalars")
+    preds = data.get("predicates", {})
+    if not isinstance(preds, dict):
+        raise SemanticsError("'predicates' must be an object")
     exts: dict = {}
-    for key, val in data.get("predicates", {}).items():
+    for key, val in preds.items():
         name, _, arity_s = key.partition("/")
         if not arity_s.isdigit():
             raise SemanticsError(f"predicate key {key!r} is not 'name/arity'")
@@ -67,9 +73,14 @@ def structure_from_json(text: str) -> Structure:
             if not isinstance(val, bool):
                 raise SemanticsError(f"{key}: proposition letters are booleans")
             exts[(name, 0)] = frozenset([()]) if val else frozenset()
+        elif not isinstance(val, list) or not set(map(type, val)) <= {list}:
+            raise SemanticsError(f"{key}: tuples are lists of domain elements")
         else:
-            exts[(name, arity)] = frozenset(tuple(t) for t in val)
-    return Structure(domain, exts)
+            try:
+                exts[(name, arity)] = frozenset(map(tuple, val))
+            except TypeError:
+                raise SemanticsError(f"{key}: tuples are lists of domain elements")
+    return Structure(tuple(domain), exts)
 
 
 def structure_to_json(s: Structure) -> str:
@@ -80,7 +91,7 @@ def structure_to_json(s: Structure) -> str:
         else:
             preds[f"{name}/{arity}"] = sorted(list(t) for t in ext)
     return json.dumps({"domain": list(s.domain), "predicates": preds},
-                      indent=2)
+                      indent=2, sort_keys=True)
 
 
 def complete_signature(s: Structure, f: Formula) -> Structure:
@@ -140,8 +151,8 @@ def _guard_index(s: Structure, guard: Atom, bound: tuple,
     """Map the values of the bound variables to the set of value tuples of
     the quantified variables that make the guard true.  A tuple of the
     extension matches only if it agrees at every repeated variable."""
-    key = (guard.pred, guard.arity)
-    if key not in s.extensions:
+    ext = s.extensions.get((guard.pred, guard.arity))
+    if ext is None:
         raise SemanticsError(f"predicate {guard.pred}/{guard.arity} not interpreted")
     first: dict = {}
     for i, a in enumerate(guard.args):
@@ -152,7 +163,7 @@ def _guard_index(s: Structure, guard: Atom, bound: tuple,
     key_of = _getter([first[a] for a in bound])
     row_of = _getter([first[a] for a in quantified])
     index: dict = {}
-    for t in s.extensions[key]:
+    for t in ext:
         if left(t) == right(t):
             index.setdefault(key_of(t), set()).add(row_of(t))
     return index
@@ -231,7 +242,7 @@ class LayeredStructure:
         if self.bound < 1:
             raise LayerError("primitive length bound must be >= 1")
         for (name, t) in self.facts:
-            if W.primitive_length(t) > self.bound if t else False:
+            if not self.defined(t):
                 raise LayerError(f"fact {name}{t!r} above bound {self.bound}")
 
     def defined(self, t: tuple) -> bool:
@@ -252,21 +263,15 @@ class LayeredStructure:
             raise LayerError(f"cannot store {name}{args!r} above bound {self.bound}")
         self.facts[(name, args)] = value
 
-    def completion(self, default: bool = False) -> Structure:
-        """A total structure agreeing with the layer; undefined tuples get
-        ``default``."""
-        import itertools
-        exts: dict = {}
-        for name, arity in self.arities.items():
-            ext = set()
-            for t in itertools.product(self.domain, repeat=arity):
-                if self.defined(t):
-                    if self.facts.get((name, t), False):
-                        ext.add(t)
-                elif default:
-                    ext.add(t)
-            exts[(name, arity)] = frozenset(ext)
-        return Structure(self.domain, exts)
+    @property
+    def extensions(self) -> dict:
+        """The true facts as ``(name, arity) -> frozenset of tuples``, the
+        shape of ``Structure.extensions``.  Every stored fact is in bound."""
+        exts: dict = {(name, arity): set() for name, arity in self.arities.items()}
+        for (name, args), value in self.facts.items():
+            if value and (name, len(args)) in exts:
+                exts[(name, len(args))].add(args)
+        return {key: frozenset(ext) for key, ext in exts.items()}
 
 
 def layered_from_structure(s: Structure, bound: int) -> LayeredStructure:
@@ -282,41 +287,25 @@ def layered_from_structure(s: Structure, bound: int) -> LayeredStructure:
 
 def evaluate_layered(layer: LayeredStructure, f: Formula,
                      assignment: Sequence = ()) -> bool:
-    """Evaluate an adjacent formula with at most ``bound`` variables.  By
-    construction every queried tuple stays within the bound."""
+    """Evaluate an adjacent formula with at most ``bound`` variables by the
+    same recursion as ``evaluate``: guarded quantifiers look their matches
+    up in the layer's true facts, every other atom is asked of
+    ``LayeredStructure.holds``.  By construction every queried tuple stays
+    within the bound."""
     normal = syntax.index_normal(f)
     report = syntax.classify(f)
     if not report.adjacent:
         raise FormulaError("formula is not adjacent; layered evaluation undefined")
     depth = max((var_index(n) or 0 for n in free_vars(f)), default=0)
-    width = max([depth] + [syntax.max_index(syntax.Atom(a.pred, a.args))
-                           for a in syntax.atoms(normal)] +
+    width = max([depth, syntax.max_index(normal)] +
                 [var_index(g.var) or 0 for g in syntax.subformulas(normal)
                  if isinstance(g, (Forall, Exists))])
     if width > layer.bound:
         raise FormulaError(
             f"formula uses {width} variables, above layer bound {layer.bound}")
 
-    def rec(g: Formula, env: dict) -> bool:
-        if isinstance(g, Atom):
-            args = tuple(env[a] for a in g.args)
-            return layer.holds(g.pred, args)
-        if isinstance(g, Not):
-            return not rec(g.body, env)
-        if isinstance(g, And):
-            return all(rec(c, env) for c in g.args)
-        if isinstance(g, Or):
-            return any(rec(c, env) for c in g.args)
-        if isinstance(g, Implies):
-            return (not rec(g.left, env)) or rec(g.right, env)
-        if isinstance(g, Iff):
-            return rec(g.left, env) == rec(g.right, env)
-        if isinstance(g, Forall):
-            return all(rec(g.body, {**env, g.var: a}) for a in layer.domain)
-        return any(rec(g.body, {**env, g.var: a}) for a in layer.domain)
-
     env = {syntax.var(i + 1): a for i, a in enumerate(assignment)}
-    return rec(normal, env)
+    return _eval(layer, normal, env, {})
 
 
 def extend_layer(layer: LayeredStructure, assignments: Mapping) -> LayeredStructure:

@@ -9,7 +9,7 @@ two-variable input can be written naturally.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 
@@ -801,7 +801,7 @@ def fo2_to_af(f: Formula, cap: int = _DEFAULT_NODE_CAP) -> Formula:
             translation[name] = free_slot
     f = _rename_all(f, translation)
 
-    sequenced = strip_units(_properly_sequence(f, cap))
+    sequenced = strip_units(_split_clauses(f, cap))
     return _assign_indices(sequenced)
 
 
@@ -814,34 +814,25 @@ def _rename_all(f: Formula, table: dict) -> Formula:
     return rebuild(f, [_rename_all(c, table) for c in children(f)])
 
 
-def _properly_sequence(f: Formula, cap: int) -> Formula:
-    """Rewrite so no variable is requantified without the other variable
-    being quantified in between.  Quantified subformulas end up in units."""
+def _split_clauses(f: Formula, cap: int) -> Formula:
+    """Rewrite so that each quantifier's CNF (forall) or DNF (exists) clauses
+    keep the literals without its variable outside its scope.  No variable
+    is then requantified without the other being quantified in between.
+    Quantified subformulas end up in units."""
     if isinstance(f, (Forall, Exists)):
-        body = _properly_sequence(f.body, cap)
+        body = _split_clauses(f.body, cap)
         y = f.var
-        if isinstance(f, Forall):
-            conjuncts = []
-            for clause in _clauses(body, "cnf", cap):
-                with_y = [l for l in clause if y in free_vars(l)]
-                rest = [l for l in clause if y not in free_vars(l)]
-                if not with_y:
-                    conjuncts.append(make_or(rest))
-                else:
-                    inner = Unit(Forall(y, make_or(with_y)))
-                    conjuncts.append(make_or([inner] + rest))
-            return make_and(conjuncts)
-        disjuncts = []
-        for clause in _clauses(body, "dnf", cap):
+        mode, inner, outer = (("cnf", make_or, make_and) if isinstance(f, Forall)
+                              else ("dnf", make_and, make_or))
+        parts = []
+        for clause in _clauses(body, mode, cap):
             with_y = [l for l in clause if y in free_vars(l)]
             rest = [l for l in clause if y not in free_vars(l)]
-            if not with_y:
-                disjuncts.append(make_and(clause))
-            else:
-                inner = Unit(Exists(y, make_and(with_y)))
-                disjuncts.append(make_and([inner] + rest))
-        return make_or(disjuncts)
-    return rebuild(f, [_properly_sequence(c, cap) for c in children(f)])
+            if with_y:
+                rest = [Unit(type(f)(y, inner(with_y)))] + rest
+            parts.append(inner(rest))
+        return outer(parts)
+    return rebuild(f, [_split_clauses(c, cap) for c in children(f)])
 
 
 def _assign_indices(f: Formula) -> Formula:
@@ -885,39 +876,11 @@ def af_to_fo2(f: Formula, cap: int = _DEFAULT_NODE_CAP) -> Formula:
     normal = index_normal(f)
     if normal is None or _af_levels(normal).min() is None:
         raise FormulaError("input is not an adjacent formula")
-    separated = strip_units(_separate_units(normal, cap))
+    separated = strip_units(_split_clauses(normal, cap))
     for g in subformulas(separated):
         if len(free_vars(g)) > 2:
             raise FormulaError("separation left a subformula with 3+ free variables")
     return _two_name_rename(_drop_vacuous(separated))
-
-
-def _separate_units(f: Formula, cap: int) -> Formula:
-    if isinstance(f, (Forall, Exists)):
-        body = _separate_units(f.body, cap)
-        y = f.var
-        if isinstance(f, Forall):
-            conjuncts = []
-            for clause in _clauses(body, "cnf", cap):
-                with_y = [l for l in clause if y in free_vars(l)]
-                rest = [l for l in clause if y not in free_vars(l)]
-                if not with_y:
-                    conjuncts.append(make_or(rest))
-                else:
-                    conjuncts.append(
-                        make_or([Unit(Forall(y, make_or(with_y)))] + rest))
-            return make_and(conjuncts)
-        disjuncts = []
-        for clause in _clauses(body, "dnf", cap):
-            with_y = [l for l in clause if y in free_vars(l)]
-            rest = [l for l in clause if y not in free_vars(l)]
-            if not with_y:
-                disjuncts.append(make_and(clause))
-            else:
-                disjuncts.append(
-                    make_and([Unit(Exists(y, make_and(with_y)))] + rest))
-        return make_or(disjuncts)
-    return rebuild(f, [_separate_units(c, cap) for c in children(f)])
 
 
 def _drop_vacuous(f: Formula) -> Formula:

@@ -40,16 +40,6 @@ def format_word(w: Word) -> str:
     return "".join(parts)
 
 
-def parse_walk(text: str) -> Walk:
-    """Parse a walk from bracketed comma-separated 1-based integers."""
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        text = text[1:-1]
-    if not text.strip():
-        return ()
-    return tuple(int(p) for p in text.split(","))
-
-
 def reverse(w: Word) -> Word:
     return tuple(reversed(w))
 

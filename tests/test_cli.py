@@ -189,3 +189,80 @@ def test_model_output_golden(capsys, formula_file, entry):
     code, out, _ = run(capsys, "model", formula_file(nf_text(gammas, delta, 2)))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == MODEL_DIGESTS[entry]
+
+
+# Outputs of the two-variable translations on sentences that requantify a
+# variable, recorded before their two clause splitters were merged into one.
+REQUANTIFIED = [
+    ("forall u exists v (r(u,v) & exists u r(v,u))",
+     "forall x1 exists x2 r(x1,x2) & (exists x3 r(x2,x3))\n",
+     "forall u exists v r(u,v) & (exists u r(v,u))\n"),
+    ("exists u (p(u) & forall v (r(u,v) -> exists u (r(v,u) & !p(u))))",
+     "exists x1 p(x1) & (forall x2 !r(x1,x2) | (exists x3 r(x2,x3) & !p(x3)))\n",
+     "exists u p(u) & (forall v !r(u,v) | (exists u r(v,u) & !p(u)))\n"),
+    ("forall x1 ((exists x2 r(x1,x2)) -> exists x2 r(x2,x1))",
+     "forall x1 !(exists x2 r(x1,x2)) | (exists x2 r(x2,x1))\n",
+     "forall u !(exists v r(u,v)) | (exists v r(v,u))\n"),
+]
+
+
+@pytest.mark.parametrize("text,to_af,to_fo2", REQUANTIFIED,
+                         ids=["u-requantified", "nested", "x-names"])
+def test_two_variable_translation_bytes(capsys, formula_file, text, to_af,
+                                        to_fo2):
+    f = formula_file(text)
+    assert run(capsys, "fo2af", f)[:2] == (0, to_af)
+    assert run(capsys, "af2fo2", f)[:2] == (0, to_fo2)
+
+
+def test_normalize_json_bytes(capsys, formula_file):
+    f = formula_file("forall x1 ((exists x2 r(x1,x2)) -> exists x2 r(x2,x1))")
+    code, out, _ = run(capsys, "normalize", f, "--json")
+    assert code == 0
+    assert out == (
+        '{\n'
+        '  "variables": 3,\n'
+        '  "existential_conjuncts": [\n'
+        '    "_nf1(x2) -> r(x2,x3)",\n'
+        '    "_nf2(x2) -> r(x3,x2)",\n'
+        '    "(_nf1(x3) -> _nf2(x3)) -> _nf3"\n'
+        '  ],\n'
+        '  "universal_matrix": "(r(x2,x3) -> _nf1(x2)) & (r(x3,x2) -> _nf2(x2))'
+        ' & (_nf3 -> _nf1(x3) -> _nf2(x3)) & _nf3",\n'
+        '  "fresh": {\n'
+        '    "_nf1": "exists x2 r(x1,x2)",\n'
+        '    "_nf2": "exists x2 r(x2,x1)",\n'
+        '    "_nf3": "forall x1 _nf1(x1) -> _nf2(x1)"\n'
+        '  }\n'
+        '}\n')
+
+
+def test_oracle_output_bytes(capsys, formula_file):
+    # AF3 corpus entry 12: two witness conjuncts, a 2-element model.
+    gammas, delta, _label = AF3_CORPUS[11]
+    code, out, _ = run(capsys, "oracle", formula_file(nf_text(gammas, delta, 2)))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b83d6130c1921893a3789c74a8cde536bc3162dc4ae3bb9d5125aabb4460dac1")
+
+
+def test_oracle_on_u_v_names(capsys, formula_file):
+    code, out, err = run(capsys, "oracle", formula_file("forall u exists v r(u,v)"))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"domain": ["e0"], "predicates": {"r/2": [["e0", "e0"]]}}
+
+
+@pytest.mark.parametrize("text", [
+    '{"domain": ["a"], "predicates": {"p/1": [1]}}',
+    '{"domain": [["a"]]}',
+    '{"domain": ["a"], "predicates": []}',
+    '{"domain": 5}',
+], ids=["tuple-not-list", "list-element", "predicates-list", "domain-number"])
+def test_check_rejects_malformed_structure(capsys, formula_file, tmp_path,
+                                           text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "check", formula_file("forall x1 p(x1)"),
+                         str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")

@@ -122,11 +122,6 @@ def test_build_model_is_verified():
     assert M.evaluate(res.model, f)
 
 
-def test_model_params_defaults():
-    params = X.ModelParams()
-    assert params.h_size == 3
-
-
 def test_rename_model():
     s = M.make_structure(["x", "y"], {("r", 2): [("x", "y")]})
     renamed = X.rename_model(s)

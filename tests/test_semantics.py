@@ -169,6 +169,22 @@ def test_extend_layer():
     assert lay2.overbound_queries == 0
 
 
+def test_layered_extensions_and_guarded_quantifiers():
+    lay = M.LayeredStructure(("a", "b"), 2, {"r": 2, "p": 1},
+                             {("r", ("a", "b")): True,
+                              ("r", ("b", "a")): False,
+                              ("p", ("b",)): True})
+    # Only true facts, under every interpreted predicate.
+    assert lay.extensions == {("r", 2): frozenset({("a", "b")}),
+                              ("p", 1): frozenset({("b",)})}
+    assert M.evaluate_layered(
+        lay, S.parse("forall x1 forall x2 (r(x1,x2) -> p(x2))"))
+    assert not M.evaluate_layered(
+        lay, S.parse("exists x1 exists x2 (r(x1,x2) & p(x1))"))
+    assert M.evaluate_layered(lay, S.parse("exists x1 (p(x1) & !r(x1,x1))"))
+    assert lay.overbound_queries == 0
+
+
 def test_extend_layer_must_agree():
     lay1 = M.LayeredStructure(("a", "b"), 1, {"r": 2},
                               {("r", ("a", "a")): True,
