@@ -11,7 +11,7 @@ atoms, never the full space of adjacent atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import syntax
 from .syntax import Atom, Formula, FormulaError, ResourceError
@@ -99,10 +99,15 @@ class AdjType:
     def entails(self, f: Formula) -> bool:
         """Propositional entailment; every atom of f must belong to this
         type's atom set."""
-        val = _eval3(f, dict(self.items()))
-        if val is None:
-            raise FormulaError("formula mentions atoms outside the type")
-        return val
+        import numpy as np
+        assign = dict(self.items())
+
+        def leaf(key):
+            if key not in assign:
+                raise FormulaError("formula mentions atoms outside the type")
+            return np.bool_(assign[key])
+
+        return bool(qf_array(f, leaf, {}))
 
     def render(self) -> str:
         return syntax.render(self.formula())
@@ -116,8 +121,22 @@ def enumerate_types(keys: Iterable, cap: int = DEFAULT_ATOM_CAP) -> Iterator[Adj
     if n > cap:
         raise ResourceError(f"{n} atoms exceeds the cap of {cap}")
     for i in range(1 << n):
-        bits = tuple(bool((i >> (n - 1 - p)) & 1) for p in range(n))
-        yield AdjType(atoms, bits)
+        yield type_at(atoms, i)
+
+
+def type_at(atoms: tuple, i: int) -> AdjType:
+    """The i-th type over the sorted key tuple ``atoms`` in enumeration
+    order."""
+    n = len(atoms)
+    return AdjType(atoms, tuple(bool((i >> (n - 1 - p)) & 1) for p in range(n)))
+
+
+def shift_keys(keys: Iterable) -> tuple:
+    """The sorted keys with every index of their words raised by one; the
+    shift keeps the sorted order, so the i-th type over ``keys`` shifted up
+    is the i-th type over the result."""
+    return tuple((name, tuple(i + 1 for i in word))
+                 for name, word in sort_keys(keys))
 
 
 def type_of_tuple(s, t: tuple, keys: Iterable) -> AdjType:
@@ -131,144 +150,115 @@ def type_of_tuple(s, t: tuple, keys: Iterable) -> AdjType:
 
 
 # ---------------------------------------------------------------------------
-# Propositional consistency over atom keys
+# Propositional truth tables over atom keys
 
-def _eval3(f: Formula, assign: dict) -> Optional[bool]:
-    """Three-valued evaluation under a partial atom-key assignment."""
+def qf_array(f: Formula, leaf, cache: dict):
+    """Evaluate a quantifier-free formula as a numpy boolean array: each atom
+    becomes ``leaf(atom key)``, computed once per key into ``cache``, and
+    the connectives combine those arrays by broadcasting."""
+    import numpy as np
     if isinstance(f, Atom):
-        return assign.get(atom_key(f))
+        key = atom_key(f)
+        if key not in cache:
+            cache[key] = leaf(key)
+        return cache[key]
     if isinstance(f, syntax.Unit):
-        return _eval3(f.body, assign)
+        return qf_array(f.body, leaf, cache)
     if isinstance(f, syntax.Not):
-        v = _eval3(f.body, assign)
-        return None if v is None else not v
+        return ~qf_array(f.body, leaf, cache)
     if isinstance(f, syntax.And):
-        out: Optional[bool] = True
+        out = np.bool_(True)
         for c in f.args:
-            v = _eval3(c, assign)
-            if v is False:
-                return False
-            if v is None:
-                out = None
+            out = out & qf_array(c, leaf, cache)
         return out
     if isinstance(f, syntax.Or):
-        out = False
+        out = np.bool_(False)
         for c in f.args:
-            v = _eval3(c, assign)
-            if v is True:
-                return True
-            if v is None:
-                out = None
+            out = out | qf_array(c, leaf, cache)
         return out
     if isinstance(f, syntax.Implies):
-        return _eval3(syntax.Or((syntax.Not(f.left), f.right)), assign)
+        return ~qf_array(f.left, leaf, cache) | qf_array(f.right, leaf, cache)
     if isinstance(f, syntax.Iff):
-        a = _eval3(f.left, assign)
-        b = _eval3(f.right, assign)
-        if a is None or b is None:
-            return None
-        return a == b
-    raise FormulaError("consistency check requires a quantifier-free formula")
+        return qf_array(f.left, leaf, cache) == qf_array(f.right, leaf, cache)
+    raise FormulaError(f"not quantifier-free: {syntax.render(f)}")
 
 
-def _split_parts(parts: Sequence) -> Optional[tuple]:
-    """(assignment fixed by the types among parts, conjunction of the
-    formulas among them), or None when two of the types disagree."""
-    assign: dict = {}
+def type_table(parts: Sequence, keys: Iterable, cap: int = DEFAULT_ATOM_CAP):
+    """The truth table of the conjunction ``parts`` of quantifier-free
+    formulas and/or types, projected onto ``keys``: a flat numpy boolean
+    array whose cell i is true iff the i-th type of ``enumerate_types(keys)``
+    is consistent with ``parts``.  Each atom key is an independent variable,
+    which is sound because distinct index words name distinct tuples once
+    the variables are instantiated with distinct elements.
+
+    The table has one axis per key, in sorted order with False first, and
+    one more per other atom of the formulas that no type fixes; those trail
+    and are projected away.  Keys a type fixes are constants, so only the
+    open axes are evaluated.  More than ``cap`` axes raise
+    ``ResourceError``."""
+    import numpy as np
+    atoms = sort_keys(keys)
+    fixed: dict = {}
+    clash = False  # two of the types disagree
     formulas = []
     for p in parts:
         if isinstance(p, AdjType):
             for key, val in p.items():
-                if assign.setdefault(key, val) != val:
-                    return None
-        else:
-            if not syntax.is_quantifier_free(p):
-                raise FormulaError("consistency check requires quantifier-free input")
+                clash = clash or fixed.setdefault(key, val) != val
+        elif syntax.is_quantifier_free(p):
             formulas.append(p)
-    return assign, syntax.make_and(formulas or [syntax.TRUE])
+        else:
+            raise FormulaError("consistency check requires quantifier-free input")
+    mentioned = {atom_key(a) for f in formulas for a in syntax.atoms(f)}
+    axes = list(atoms) + sorted(mentioned - set(atoms) - set(fixed))
+    if len(axes) > cap:
+        raise ResourceError(f"{len(axes)} atoms exceeds the cap of {cap}")
+    if clash:
+        return np.zeros(1 << len(atoms), dtype=bool)
+    position = {key: i for i, key in enumerate(axes)}
 
+    def leaf(key):
+        if key in fixed:
+            return np.bool_(fixed[key])
+        shape = [1] * len(axes)
+        shape[position[key]] = 2
+        return np.array([False, True]).reshape(shape)
 
-def _free_keys(conj: Formula, bound, cap: int) -> list:
-    """The sorted atom keys of conj outside ``bound``, at most cap of them."""
-    free = sorted({atom_key(a) for a in syntax.atoms(conj)} - set(bound))
-    if len(free) > cap:
-        raise ResourceError(f"{len(free)} free atoms exceeds the cap of {cap}")
-    return free
-
-
-def _dpll(conj: Formula, order: Sequence, assign: dict) -> bool:
-    """Extend ``assign`` along ``order``, False before True, until conj
-    evaluates to true; ``assign`` is then left at that partial assignment,
-    the first in lexicographic order.  ``order`` must hold every key of
-    conj that ``assign`` leaves open."""
-
-    def search(i: int) -> bool:
-        v = _eval3(conj, assign)
-        if v is not None:
-            return v
-        key = order[i]
-        for choice in (False, True):
-            assign[key] = choice
-            if search(i + 1):
-                return True
-        del assign[key]
-        return False
-
-    return search(0)
+    table = np.ones((1,) * len(axes), dtype=bool)
+    cache: dict = {}
+    for f in formulas:
+        table = table & qf_array(f, leaf, cache)
+    table = table.any(axis=tuple(range(len(atoms), len(axes))))
+    # A fixed key's axis has size 1 in ``table``; only its fixed value's
+    # half of the result can be true.
+    out = np.zeros((2,) * len(atoms), dtype=bool)
+    out[tuple(int(fixed[k]) if k in fixed else slice(None) for k in atoms)] = \
+        table[tuple(0 if k in fixed else slice(None) for k in atoms)]
+    return out.ravel()
 
 
 def consistent(parts: Sequence, cap: int = DEFAULT_ATOM_CAP) -> bool:
     """Propositional satisfiability of a conjunction of quantifier-free
-    formulas and/or types, treating each atom key as an independent
-    variable.  Sound here because distinct index words name distinct tuples
-    once the variables are instantiated with distinct elements."""
-    split = _split_parts(parts)
-    if split is None:
-        return False
-    assign, conj = split
-    return _dpll(conj, _free_keys(conj, assign, cap), assign)
-
-
-def first_consistent_type(parts: Sequence, keys: Iterable,
-                          cap: int = DEFAULT_ATOM_CAP) -> Optional[AdjType]:
-    """The first type over ``keys``, in enumeration order, consistent with
-    the conjunction ``parts``, or None: ``next(satisfying_types(parts,
-    keys, cap), None)`` found by one search.  The search branches on the
-    open keys in sorted order, False first, and then on the formulas'
-    other atoms; keys the formulas do not mention are False."""
-    atoms = sort_keys(keys)
-    if len(atoms) > cap:
-        raise ResourceError(f"{len(atoms)} atoms exceeds the cap of {cap}")
-    split = _split_parts(parts)
-    if split is None:
-        return None
-    assign, conj = split
-    mentioned = {atom_key(a) for a in syntax.atoms(conj)}
-    order = [k for k in atoms if k in mentioned and k not in assign]
-    order += _free_keys(conj, set(assign) | set(atoms), cap)
-    if not _dpll(conj, order, assign):
-        return None
-    return AdjType(atoms, tuple(assign.get(k, False) for k in atoms))
+    formulas and/or types (see ``type_table``)."""
+    return bool(type_table(parts, (), cap).any())
 
 
 def satisfying_types(parts: Sequence, keys: Iterable,
                      cap: int = DEFAULT_ATOM_CAP) -> Iterator[AdjType]:
     """Types over ``keys`` consistent with the given conjunction, in
-    enumeration order; the reference definition of
-    ``first_consistent_type``."""
-    for t in enumerate_types(keys, cap):
-        if consistent(list(parts) + [t], cap):
-            yield t
+    enumeration order."""
+    atoms = sort_keys(keys)
+    for i in type_table(parts, atoms, cap).nonzero()[0].tolist():
+        yield type_at(atoms, i)
 
 
 def project_circ(chi: Sequence, keys_ell: Iterable, ell: int,
                  cap: int = DEFAULT_ATOM_CAP) -> Formula:
     """The strongest consequence about the tail: the disjunction of the
     l-types eta over keys_ell with chi /\\ eta+ consistent."""
-    disjuncts = []
-    for eta in enumerate_types(keys_ell, cap):
-        if consistent(list(chi) + [eta.shift_up()], cap):
-            disjuncts.append(eta.formula())
+    atoms = sort_keys(keys_ell)
+    disjuncts = [AdjType(atoms, eta.bits).formula()
+                 for eta in satisfying_types(chi, shift_keys(atoms), cap)]
     return syntax.make_or(disjuncts or [syntax.FALSE])
 
 

@@ -5,7 +5,6 @@ three-variable case with model construction, and a brute-force oracle.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -224,20 +223,18 @@ def reduce_step(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     gammas = list(closure.gammas)
     deltas = [closure.delta]
     new_ell = ell - 1
-    for zeta in T.enumerate_types(keys_ell, atom_cap):
-        if prune and not consistent([zeta] + universal, atom_cap):
-            continue
+    for zeta in T.satisfying_types(universal if prune else [], keys_ell,
+                                   atom_cap):
         name = f"_pz{next(counter)}"
         fresh.append((name, zeta.render()))
         head_tail = S.Atom(name, tuple(S.var(i) for i in range(2, ell + 1)))
         head_front = S.Atom(name, tuple(S.var(i) for i in range(1, ell)))
         deltas.append(S.Implies(zeta.formula(), head_tail))
         for gamma in nf.gammas:
-            proj = T.project_circ([zeta.formula(), delta_hat, gamma],
+            proj = T.project_circ([zeta, delta_hat, gamma],
                                   keys_ell, ell, atom_cap)
             gammas.append(S.Implies(head_front, proj))
-        proj_univ = T.project_circ([zeta.formula(), delta_hat],
-                                   keys_ell, ell, atom_cap)
+        proj_univ = T.project_circ([zeta, delta_hat], keys_ell, ell, atom_cap)
         deltas.append(S.Implies(head_front, proj_univ))
     return NormalFormFormula(new_ell, tuple(gammas), S.make_and(deltas),
                              tuple(fresh))
@@ -254,6 +251,7 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
                trace: Optional[list] = None) -> SatResult:
     """Certificate search for 3-variable normal-form sentences: SAT iff a
     non-empty coherent set of compatible connector-types exists."""
+    import numpy as np
     if nf.ell != 2:
         raise FormulaError("the decider handles 3-variable normal form")
     trace = trace if trace is not None else []
@@ -267,33 +265,30 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     stall_instances = [S.substitute_walk(delta, f) for f in W.walks(3, 2)]
 
     # Admissible 2-types: those satisfying every stalled universal instance.
-    all_types = list(T.enumerate_types(keys2, atom_cap))
-    admissible = [t for t in all_types
-                  if all(t.entails(inst) for inst in stall_instances)]
+    codes = T.type_table(stall_instances, keys2, atom_cap).nonzero()[0]
+    admissible = [T.type_at(keys2, i) for i in codes.tolist()]
     index = {t: i for i, t in enumerate(admissible)}
     inv = [index.get(t.inverse(2)) for t in admissible]
-    trace.append({"stage": "types", "count": len(all_types),
+    trace.append({"stage": "types", "count": 1 << len(keys2),
                   "admissible": len(admissible)})
 
-    n = len(admissible)
-    start_masks = []
-    for gamma in nf.gammas:
-        g112 = S.substitute_walk(gamma, (1, 1, 2))
-        mask = 0
-        for i, t in enumerate(admissible):
-            if t.entails(g112):
-                mask |= 1 << i
-        start_masks.append(mask)
-    link = [0] * n
-    wit = [[0] * n for _ in nf.gammas]
-    for zi, z in enumerate(admissible):
-        for ei, e in enumerate(admissible):
-            eplus = e.shift_up()
-            if consistent([z, eplus, delta_hat], atom_cap):
-                link[zi] |= 1 << ei
-                for gi, gamma in enumerate(nf.gammas):
-                    if consistent([z, eplus, gamma, delta_hat], atom_cap):
-                        wit[gi][zi] |= 1 << ei
+    def mask(table) -> int:
+        """The admissible types whose cells in ``table`` are true, as a
+        bitmask over ``admissible``."""
+        return int.from_bytes(
+            np.packbits(table[codes], bitorder="little").tobytes(), "little")
+
+    start_masks = [
+        mask(T.type_table([S.substitute_walk(gamma, (1, 1, 2))], keys2,
+                          atom_cap))
+        for gamma in nf.gammas]
+    # link[zi] holds the eta with zeta eta+ delta_hat consistent, wit[gi][zi]
+    # those that also satisfy gamma_gi: one table over the shifted keys each.
+    up = T.shift_keys(keys2)
+    link = [mask(T.type_table([z, delta_hat], up, atom_cap))
+            for z in admissible]
+    wit = [[mask(T.type_table([z, gamma, delta_hat], up, atom_cap))
+            for z in admissible] for gamma in nf.gammas]
 
     # Group admissible types by their 1-type and enumerate compatible
     # connector-types per group.
@@ -457,43 +452,6 @@ def _find_certificate(pool: list, inv) -> Optional[list]:
 # ---------------------------------------------------------------------------
 # Model construction
 
-def _qf_array(f: Formula, tables: dict, grids, cache: dict):
-    """Evaluate a quantifier-free formula as a boolean array whose axes are
-    the variables x1..xn, for bulk model verification."""
-    import numpy as np
-    if isinstance(f, S.Atom):
-        word = tuple(S.var_index(a) for a in f.args)
-        key = (f.pred, word)
-        if key not in cache:
-            table = tables[f.pred]
-            if not word:
-                cache[key] = np.bool_(table)
-            else:
-                cache[key] = table[tuple(grids[i - 1] for i in word)]
-        return cache[key]
-    if isinstance(f, S.Unit):
-        return _qf_array(f.body, tables, grids, cache)
-    if isinstance(f, S.Not):
-        return ~_qf_array(f.body, tables, grids, cache)
-    if isinstance(f, S.And):
-        out = np.bool_(True)
-        for c in f.args:
-            out = out & _qf_array(c, tables, grids, cache)
-        return out
-    if isinstance(f, S.Or):
-        out = np.bool_(False)
-        for c in f.args:
-            out = out | _qf_array(c, tables, grids, cache)
-        return out
-    if isinstance(f, S.Implies):
-        return (~_qf_array(f.left, tables, grids, cache)
-                | _qf_array(f.right, tables, grids, cache))
-    if isinstance(f, S.Iff):
-        return (_qf_array(f.left, tables, grids, cache)
-                == _qf_array(f.right, tables, grids, cache))
-    raise FormulaError(f"not quantifier-free: {S.render(f)}")
-
-
 def verify_normal_form(nf: NormalFormFormula, model: M.Structure) -> bool:
     """Direct check that a structure satisfies a normal-form sentence;
     equivalent to evaluate on the rebuilt sentence, but vectorized."""
@@ -511,23 +469,24 @@ def verify_normal_form(nf: NormalFormFormula, model: M.Structure) -> bool:
         tables[name] = table
     nvars = nf.ell + 1
     grids = np.ix_(*([np.arange(n)] * nvars))
+
+    def leaf(key):
+        name, word = key
+        if not word:
+            return np.bool_(tables[name])
+        return tables[name][tuple(grids[i - 1] for i in word)]
+
     cache: dict = {}
     full = np.zeros((n,) * nvars, dtype=bool)
     for gamma in nf.gammas:
-        arr = full | _qf_array(gamma, tables, grids, cache)
+        arr = full | T.qf_array(gamma, leaf, cache)
         if not arr.any(axis=-1).all():
             return False
-    delta = full | _qf_array(nf.delta, tables, grids, cache)
+    delta = full | T.qf_array(nf.delta, leaf, cache)
     return bool(delta.all())
 
 
 H_SIZE = 3  # witnessing phases: the witnesses of phase h live in h + 1 mod 3
-
-
-@functools.lru_cache(maxsize=None)
-def _placement() -> tuple:
-    """``words.small_pair_placement()``, searched and verified once."""
-    return W.small_pair_placement()
 
 
 def _surjective_facts(t: AdjType, k: int) -> list:
@@ -552,10 +511,10 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     bit order, with its inverse and shifted type computed once, and a pair
     or triple of elements writes the precomputed facts its type fixes on
     exactly those elements.  Each witnessing or joining 3-type is found
-    once per (incoming 2-type, outgoing 2-type, conjunct) by one ordered
-    search, ``aftypes.first_consistent_type``.  With a ``trace`` list, a
-    ``model`` row records the time, the domain and fact counts and the
-    number of 3-type searches."""
+    once per (incoming 2-type, outgoing 2-type, conjunct) as the first
+    true cell of one truth table, ``aftypes.satisfying_types``.  With a
+    ``trace`` list, a ``model`` row records the time, the domain and fact
+    counts and the number of 3-type searches."""
     start = time.perf_counter()
     if nf.ell != 2:
         raise FormulaError("model construction handles 3-variable normal form")
@@ -578,7 +537,7 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
             for ms in members]
 
     n_gammas = len(nf.gammas) or 1
-    j_size, placement = _placement()
+    j_size, placement = W.small_pair_placement()
     domain = [(o, t, h, i, j)
               for o in range(len(omegas)) for t in range(len(two_types))
               for h in range(H_SIZE) for i in range(n_gammas)
@@ -631,9 +590,9 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
         key = (zeta, eta, gi)
         if key not in theta_facts:
             extra = [nf.gammas[gi]] if gi >= 0 else []
-            found = T.first_consistent_type(
+            found = next(T.satisfying_types(
                 [two_types[zeta], shifted[eta], *extra, delta_hat],
-                keys3, atom_cap)
+                keys3, atom_cap), None)
             if found is None:
                 raise RuntimeError("internal consistency failure: no "
                                    f"{'witnessing' if gi >= 0 else 'joining'}"

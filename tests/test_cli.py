@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import afkit.cli as C
-from corpus import AF3_CORPUS, nf_text
+from corpus import AF3_CORPUS, AF4_CORPUS, nf_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -266,3 +266,40 @@ def test_check_rejects_malformed_structure(capsys, formula_file, tmp_path,
                          str(bad))
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+# sha256 of stdout, recorded before the propositional layer moved to truth
+# tables: the `_pz` guard names and their order, the disjunct order of each
+# projection, and the types/pool/closure/certificate trace rows.
+REDUCE_DIGESTS = {
+    1: "70595cb6f328f524ea32fc4129715e5dc1b574eee3c0ecbfb8f6daf9487f4896",
+    3: "e9d8064e26416cf44ca45f49269b6b428496a6dd75cd78f12ab021d6f97a223b",
+    7: "143e6f9a9b7c7ba62d37a83732719a244a8311ad4287781f0696afc529776d61",
+    9: "86e62145d875319fa4ac3ae38006f9544fb53c27e41b721b93ef29e455c622fb",
+}
+SAT_TRACE_DIGESTS = [
+    ("af4", 3, 0, "9047526ccdf47c4dc179f118ed7ae9858aab23f04bb02620b5b969c2399cd08d"),
+    ("af3", 12, 0, "bdf3462baba44a8ecc6271602e8fe473f8c872a2e4d2f42f3d319ec6fc47e582"),
+    ("af3", 30, 1, "c71f622999f1efe84f85cb9099d326fe0b9126b626ebb5eec15625ae4cb7ab82"),
+]
+
+
+@pytest.mark.parametrize("entry", sorted(REDUCE_DIGESTS))
+def test_reduce_json_golden(capsys, formula_file, entry):
+    gammas, delta, _label = AF4_CORPUS[entry - 1]
+    code, out, _ = run(capsys, "reduce", formula_file(nf_text(gammas, delta, 3)),
+                       "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REDUCE_DIGESTS[entry]
+
+
+@pytest.mark.parametrize("corpus,entry,exit_code,digest", SAT_TRACE_DIGESTS,
+                         ids=[f"{c}-{e}" for c, e, _, _ in SAT_TRACE_DIGESTS])
+def test_sat_json_trace_golden(capsys, formula_file, corpus, entry, exit_code,
+                               digest):
+    gammas, delta, _label = {"af3": AF3_CORPUS, "af4": AF4_CORPUS}[corpus][entry - 1]
+    ell = 2 if corpus == "af3" else 3
+    code, out, _ = run(capsys, "sat", formula_file(nf_text(gammas, delta, ell)),
+                       "--json", "--trace")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

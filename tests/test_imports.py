@@ -1,6 +1,10 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+importing the CLI does not load numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,15 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_cli_import_leaves_numpy_out():
+    """numpy is imported only by the functions that build arrays, so verbs
+    such as `af classify`, `af check` and `af atm verify` never load it."""
+    code = "import sys, afkit.cli; print('numpy' in sys.modules)"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

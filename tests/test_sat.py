@@ -1,12 +1,15 @@
 """Normal form, adjacent closure, the reduction step, the three-variable
 decider, model construction, and the brute-force oracle."""
 
+import itertools
+
 import pytest
 
 import afkit.aftypes as T
 import afkit.sat as X
 import afkit.semantics as M
 import afkit.syntax as S
+import afkit.words as W
 from corpus import AF3_CORPUS, AF4_CORPUS, nf_text
 
 
@@ -111,6 +114,52 @@ def test_oracle_models_have_compatible_connectors():
         keys2 = T.sort_keys(T.relevant_atoms(nf.sentence(), 2))
         for a in model.domain:
             assert T.compatible(T.connector_of(model, a, keys2), nf)
+
+
+def connector_candidates(nf) -> list:
+    """The connector-types decide_af3 tests for compatibility: per 1-type
+    group of admissible 2-types (those entailing every stalled universal
+    instance), each subset that contains pi squared."""
+    keys2 = T.sort_keys(T.relevant_atoms(nf.sentence(), 2))
+    stalls = [S.substitute_walk(nf.delta, f) for f in W.walks(3, 2)]
+    groups: dict = {}
+    for t in T.enumerate_types(keys2):
+        if all(t.entails(inst) for inst in stalls):
+            groups.setdefault(T.restrict_to_ones(t), []).append(t)
+    out = []
+    for pi, members in groups.items():
+        pi2 = T.one_type_squared(pi, keys2)
+        if pi2 not in members:
+            continue
+        rest = [t for t in members if t != pi2]
+        for r in range(len(rest) + 1):
+            out += [T.ConnectorType(frozenset([pi2, *c]))
+                    for c in itertools.combinations(rest, r)]
+    return out
+
+
+# A sentence whose pool is wrong when the witness tables ignore gamma; no
+# corpus entry with at most 300 candidates shows that.
+WITNESS_PROBE = (["!r(x3,x3) & !r(x1,x2)"], "!r(x2,x1) | !r(x1,x2) | r(x1,x1)",
+                 None)
+
+
+def test_pool_matches_reference_compatibility():
+    """The bitmask test of decide_af3 (start, link and witness tables)
+    accepts exactly the candidates that aftypes.compatible accepts."""
+    checked = 0
+    for gs, d, _expect in AF3_CORPUS + [WITNESS_PROBE]:
+        nf = X.normalize(S.parse(nf_text(gs, d, 2)))
+        candidates = connector_candidates(nf)
+        if len(candidates) > 300:
+            continue
+        trace: list = []
+        X.decide_af3(nf, trace=trace)
+        pool = next(row["compatible"] for row in trace
+                    if row["stage"] == "pool")
+        assert pool == sum(T.compatible(om, nf) for om in candidates)
+        checked += 1
+    assert checked == 28
 
 
 def test_build_model_is_verified():

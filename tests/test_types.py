@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afkit.aftypes as T
+import afkit.sat as X
 import afkit.semantics as M
 import afkit.syntax as S
 
@@ -130,8 +131,8 @@ def test_connector_serialization_deterministic():
     assert c1.serialize() == c2.serialize()
 
 
-# Atom keys over x1..x3; formulas may mention keys outside the searched
-# ones, which the search must then decide as well.
+# Atom keys over x1..x3; formulas may mention keys outside the tabulated
+# ones, which the tables must then project away.
 KEY_POOL = (("p", (1,)), ("p", (2,)), ("p", (3,)), ("q", ()),
             ("r", (1, 1)), ("r", (1, 2)), ("r", (2, 1)), ("r", (2, 3)))
 
@@ -155,26 +156,58 @@ def fixed_types(draw):
     return T.AdjType(atoms, tuple(bits))
 
 
+def reference_models(parts) -> list:
+    """Brute force: the assignments to the keys of KEY_POOL, plus the keys
+    the types fix, that satisfy every part, each formula evaluated by the
+    oracle's own grounding (whose atom payloads are atom keys)."""
+    fixed = {}
+    for p in parts:
+        if isinstance(p, T.AdjType):
+            for key, val in p.items():
+                if fixed.setdefault(key, val) != val:
+                    return []
+    trees = [X._ground(f, (), {"x1": 1, "x2": 2, "x3": 3})
+             for f in parts if not isinstance(f, T.AdjType)]
+    free = [key for key in KEY_POOL if key not in fixed]
+    models = []
+    for t in T.enumerate_types(free, cap=len(free)):
+        assign = {**fixed, **dict(t.items())}
+        if all(X._eval_ground(tree, assign) for tree in trees):
+            models.append(assign)
+    return models
+
+
+def extends(models, t) -> bool:
+    """Some model agrees with t on every key it assigns."""
+    return any(all(m.get(k, v) == v for k, v in t.items()) for m in models)
+
+
 @settings(max_examples=400, deadline=None)
 @given(keys=st.lists(st.sampled_from(KEY_POOL), min_size=1, max_size=6,
                      unique=True),
        types=st.lists(fixed_types(), max_size=2),
        formulas=st.lists(qf_formulas, max_size=2),
        data=st.data())
-def test_first_consistent_type_matches_enumeration(keys, types, formulas,
-                                                   data):
+def test_truth_tables_match_brute_force(keys, types, formulas, data):
     parts = data.draw(st.permutations(types + formulas))
-    expected = next(T.satisfying_types(parts, keys), None)
-    assert T.first_consistent_type(parts, keys) == expected
+    models = reference_models(parts)
+    assert T.consistent(parts) == bool(models)
+    assert list(T.satisfying_types(parts, keys)) == [
+        t for t in T.enumerate_types(keys) if extends(models, t)]
+    tails = [eta.formula() for eta in T.enumerate_types(keys)
+             if extends(models, eta.shift_up())]
+    assert T.project_circ(parts, keys, 2) == S.make_or(tails or [S.FALSE])
 
 
-def test_first_consistent_type_examples():
+def test_truth_table_examples():
     keys = keys_for("r(x1,x2)", 2)
-    t = T.first_consistent_type([S.parse("r(x1,x2) & !r(x2,x1)")], keys)
-    assert t == next(T.satisfying_types([S.parse("r(x1,x2) & !r(x2,x1)")],
-                                        keys))
+    t = next(T.satisfying_types([S.parse("r(x1,x2) & !r(x2,x1)")], keys))
     # Disagreeing types, or a contradiction, leave no type.
-    assert T.first_consistent_type([t, t.inverse(2)], keys) is None
-    assert T.first_consistent_type([S.parse("q & !q")], keys) is None
+    assert next(T.satisfying_types([t, t.inverse(2)], keys), None) is None
+    assert next(T.satisfying_types([S.parse("q & !q")], keys), None) is None
     with pytest.raises(S.ResourceError):
-        T.first_consistent_type([], keys, cap=len(keys) - 1)
+        next(T.satisfying_types([], keys, cap=len(keys) - 1))
+    # Atoms outside the keys that no type fixes are axes too.
+    with pytest.raises(S.ResourceError):
+        T.consistent([S.parse("p(x1) & p(x2) & q")], cap=2)
+    assert T.consistent([t, S.parse("p(x1) & p(x2) & q")], cap=3)
