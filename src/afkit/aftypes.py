@@ -252,7 +252,7 @@ def satisfying_types(parts: Sequence, keys: Iterable,
         yield type_at(atoms, i)
 
 
-def project_circ(chi: Sequence, keys_ell: Iterable, ell: int,
+def project_circ(chi: Sequence, keys_ell: Iterable,
                  cap: int = DEFAULT_ATOM_CAP) -> Formula:
     """The strongest consequence about the tail: the disjunction of the
     l-types eta over keys_ell with chi /\\ eta+ consistent."""

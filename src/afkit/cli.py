@@ -135,7 +135,8 @@ def cmd_model(args) -> int:
 
 def cmd_check(args) -> int:
     formula = _read_formula(args.formula)
-    structure = M.complete_signature(_read_structure(args.structure), formula)
+    structure = M.complete_signature(_read_structure(args.structure),
+                                     S.signature(formula))
     ok = M.evaluate(structure, formula)
     print("true" if ok else "false")
     return 0 if ok else 1

@@ -641,7 +641,7 @@ def verify_encoding(machine: ATM, w: str, max_depth: int = 64) -> dict:
 def check_conjuncts(encoding: Encoding, structure: M.Structure,
                     **meta) -> dict:
     """Model-check each named conjunct, timing each; all must pass."""
-    structure = M.complete_signature(structure, encoding.sentence())
+    structure = M.complete_signature(structure, encoding.signature)
     rows = []
     for name, formula in encoding.conjuncts:
         t0 = time.perf_counter()

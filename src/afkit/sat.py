@@ -231,10 +231,10 @@ def reduce_step(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
         head_front = S.Atom(name, tuple(S.var(i) for i in range(1, ell)))
         deltas.append(S.Implies(zeta.formula(), head_tail))
         for gamma in nf.gammas:
-            proj = T.project_circ([zeta, delta_hat, gamma],
-                                  keys_ell, ell, atom_cap)
+            proj = T.project_circ([zeta, delta_hat, gamma], keys_ell,
+                                  atom_cap)
             gammas.append(S.Implies(head_front, proj))
-        proj_univ = T.project_circ([zeta, delta_hat], keys_ell, ell, atom_cap)
+        proj_univ = T.project_circ([zeta, delta_hat], keys_ell, atom_cap)
         deltas.append(S.Implies(head_front, proj_univ))
     return NormalFormFormula(new_ell, tuple(gammas), S.make_and(deltas),
                              tuple(fresh))

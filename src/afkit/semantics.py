@@ -4,6 +4,7 @@ length bound, products, and bounded agreement.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -94,13 +95,14 @@ def structure_to_json(s: Structure) -> str:
                       indent=2, sort_keys=True)
 
 
-def complete_signature(s: Structure, f: Formula) -> Structure:
-    """Interpret any predicate of f missing from s with the empty extension.
+def complete_signature(s: Structure, signature: Mapping) -> Structure:
+    """Interpret any predicate of ``signature`` (name -> arity, as
+    ``syntax.signature`` gives it) missing from s with the empty extension.
     Returns s itself when nothing is missing.  The tuples of s are not
     checked again: s was checked when it was built, and an empty extension
     needs no check."""
     missing = {(name, arity): frozenset()
-               for name, arity in syntax.signature(f).items()
+               for name, arity in signature.items()
                if (name, arity) not in s.extensions}
     if not missing:
         return s
@@ -146,26 +148,33 @@ def _getter(positions: list):
     return operator.itemgetter(*positions) if positions else lambda t: ()
 
 
-def _guard_index(s: Structure, guard: Atom, bound: tuple,
-                 quantified: tuple) -> dict:
+def _guard_index(exts: Mapping, guard: Atom, bound: tuple,
+                 row_vars: tuple) -> dict:
     """Map the values of the bound variables to the set of value tuples of
-    the quantified variables that make the guard true.  A tuple of the
-    extension matches only if it agrees at every repeated variable."""
-    ext = s.extensions.get((guard.pred, guard.arity))
+    ``row_vars`` (variables of the guard) over the tuples that make the
+    guard true.  A tuple of the extension matches only if it agrees at every
+    repeated variable.  With no bound and no repeated variables, and rows
+    that are whole tuples, the extension itself is the one match set."""
+    ext = exts.get((guard.pred, guard.arity))
     if ext is None:
         raise SemanticsError(f"predicate {guard.pred}/{guard.arity} not interpreted")
     first: dict = {}
     for i, a in enumerate(guard.args):
         first.setdefault(a, i)
     repeats = [(first[a], i) for i, a in enumerate(guard.args) if first[a] != i]
-    left = _getter([i for i, _ in repeats])
-    right = _getter([j for _, j in repeats])
+    if repeats:
+        left = _getter([i for i, _ in repeats])
+        right = _getter([j for _, j in repeats])
+        ext = [t for t in ext if left(t) == right(t)]
+    elif not bound and row_vars == guard.args:
+        return {(): ext}
+    row_of = _getter([first[a] for a in row_vars])
+    if not bound:
+        return {(): set(map(row_of, ext))}
     key_of = _getter([first[a] for a in bound])
-    row_of = _getter([first[a] for a in quantified])
     index: dict = {}
     for t in ext:
-        if left(t) == right(t):
-            index.setdefault(key_of(t), set()).add(row_of(t))
+        index.setdefault(key_of(t), set()).add(row_of(t))
     return index
 
 
@@ -174,53 +183,164 @@ def evaluate(s: Structure, f: Formula,
     """Standard satisfaction.  ``assignment`` binds x1..xk positionally, or
     is a name-to-element mapping.
 
-    A guarded quantifier, ``forall xs (g -> phi)`` or ``exists xs (g & phi)``
-    with an atom g on every variable of xs, ranges only over the matches of
-    g: they are looked up in an index of g's extension keyed on its bound
-    argument positions, built once per call.  Every other quantifier
-    enumerates the domain."""
+    The formula is compiled once per call into closures over one environment
+    list, with a slot per assigned name and per quantifier; each variable
+    occurrence reads the slot of its innermost binder, so shadowing is
+    settled at compile time.  A guarded quantifier, ``forall xs (g -> phi)``
+    or ``exists xs (g & phi)`` with an atom g on every variable of xs, ranges
+    only over the matches of g: they are looked up in an index of g's
+    extension keyed on its bound argument positions, built on first use and
+    shared for the call.  When phi is one atom over g's variables, phi is
+    tested on the image of the matches in one C-level pass, so a sentence
+    such as ``forall xs (F(xs) -> F(perm xs))`` is one containment test.
+    Every other quantifier enumerates the domain, except that one whose
+    variable is not free in its body evaluates the body once.  An unbound
+    variable or an uninterpreted predicate raises ``SemanticsError`` when
+    evaluation reaches it."""
     if isinstance(assignment, Mapping):
         env = dict(assignment)
     else:
         env = {syntax.var(i + 1): a for i, a in enumerate(assignment)}
-    return _eval(s, f, env, {})
+    return _Compiler(s).run(f, env)
 
 
-def _eval(s: Structure, f: Formula, env: dict, indexes: dict) -> bool:
-    if isinstance(f, Atom):
-        try:
-            args = tuple(env[a] for a in f.args)
-        except KeyError as e:
-            raise SemanticsError(f"unbound variable {e.args[0]!r}")
-        return s.holds(f.pred, args)
-    if isinstance(f, syntax.Unit):
-        return _eval(s, f.body, env, indexes)
-    if isinstance(f, Not):
-        return not _eval(s, f.body, env, indexes)
-    if isinstance(f, And):
-        return all(_eval(s, c, env, indexes) for c in f.args)
-    if isinstance(f, Or):
-        return any(_eval(s, c, env, indexes) for c in f.args)
-    if isinstance(f, Implies):
-        return (not _eval(s, f.left, env, indexes)) or _eval(s, f.right, env, indexes)
-    if isinstance(f, Iff):
-        return _eval(s, f.left, env, indexes) == _eval(s, f.right, env, indexes)
-    cls, chain, body = _quantifier_chain(f)
-    test = all if cls is Forall else any
-    guarded = _guarded(cls, chain, body)
-    if guarded is not None and free_vars(body) <= set(env) | set(chain):
+def _connective(parts: list, stop: bool):
+    """And (``stop`` False) or Or (``stop`` True) of compiled parts, left to
+    right, stopping at the first part that decides it."""
+    def test(env):
+        for part in parts:
+            if part(env) == stop:
+                return stop
+        return not stop
+    return test
+
+
+class _Compiler:
+    """Compiles a formula against one structure into nested closures that
+    take the environment list; one per ``evaluate`` call."""
+
+    def __init__(self, s):
+        self.s = s
+        self.exts = s.extensions
+        self.size = 0
+        self.indexes: dict = {}
+
+    def run(self, f: Formula, assignment: dict) -> bool:
+        scope = {name: i for i, name in enumerate(assignment)}
+        self.size = len(scope)
+        test = self.compile(f, scope)
+        return test(list(assignment.values()) + [None] * (self.size - len(scope)))
+
+    def slots(self, names: tuple, scope: dict) -> dict:
+        """``scope`` with fresh slots for ``names``."""
+        lo = self.size
+        self.size += len(names)
+        return {**scope, **{a: lo + i for i, a in enumerate(names)}}
+
+    def member(self, f: Atom):
+        """The test of an argument tuple against f's predicate: a set lookup
+        in a Structure; ``holds`` in a LayeredStructure, so that out-of-bound
+        queries are counted, and for an uninterpreted predicate, so that it
+        raises when reached."""
+        ext = self.exts.get((f.pred, f.arity))
+        if ext is None or isinstance(self.s, LayeredStructure):
+            return functools.partial(self.s.holds, f.pred)
+        return ext.__contains__
+
+    def matches(self, guard: Atom, bound: tuple, row_vars: tuple, scope: dict):
+        """The function taking an environment to the ``row_vars`` values of
+        the guard's matches at the bound variables' values."""
+        key = (guard.pred, guard.args, bound, row_vars)
+        key_of = _getter([scope[a] for a in bound])
+        indexes, exts = self.indexes, self.exts
+
+        def rows(env):
+            index = indexes.get(key)
+            if index is None:
+                index = indexes[key] = _guard_index(exts, guard, bound, row_vars)
+            return index.get(key_of(env), ())
+        return rows
+
+    def compile(self, f: Formula, scope: dict):
+        if isinstance(f, Atom):
+            unbound = [a for a in f.args if a not in scope]
+            if unbound:
+                message = f"unbound variable {unbound[0]!r}"
+
+                def fail(env):
+                    raise SemanticsError(message)
+                return fail
+            get = _getter([scope[a] for a in f.args])
+            member = self.member(f)
+            return lambda env: member(get(env))
+        if isinstance(f, syntax.Unit):
+            return self.compile(f.body, scope)
+        if isinstance(f, Not):
+            body = self.compile(f.body, scope)
+            return lambda env: not body(env)
+        if isinstance(f, (And, Or)):
+            return _connective([self.compile(g, scope) for g in f.args],
+                               isinstance(f, Or))
+        if isinstance(f, Implies):
+            left, right = self.compile(f.left, scope), self.compile(f.right, scope)
+            return lambda env: not left(env) or right(env)
+        if isinstance(f, Iff):
+            left, right = self.compile(f.left, scope), self.compile(f.right, scope)
+            return lambda env: left(env) == right(env)
+        return self.quantifier(f, scope)
+
+    def domain_loop(self, f: Formula, stop: bool, scope: dict):
+        """Forall (``stop`` False) or exists (``stop`` True) over the domain,
+        or one evaluation of the body when it never reads the variable."""
+        domain = self.s.domain
+        if f.var not in free_vars(f.body):
+            if not domain:
+                return lambda env: not stop
+            return self.compile(f.body, scope)
+        inner_scope = self.slots((f.var,), scope)
+        i = inner_scope[f.var]
+        body = self.compile(f.body, inner_scope)
+
+        def quantify(env):
+            for env[i] in domain:
+                if body(env) == stop:
+                    return stop
+            return not stop
+        return quantify
+
+    def quantifier(self, f: Formula, scope: dict):
+        """A guarded quantifier over the guard's matches, each written to
+        the chain's slots in turn; any other over the domain."""
+        cls, chain, body = _quantifier_chain(f)
+        stop = cls is Exists
+        guarded = _guarded(cls, chain, body)
+        if guarded is None or not free_vars(body) <= scope.keys() | set(chain):
+            return self.domain_loop(f, stop, scope)
         guard, rest = guarded
         # A quantified variable shadows any outer binding of its name.
         bound = tuple(dict.fromkeys(a for a in guard.args if a not in chain))
+        if (len(rest) == 1 and isinstance(rest[0], Atom)
+                and set(rest[0].args) <= set(guard.args)):
+            # The atom's arguments are read off each match of the guard.
+            variables = tuple(dict.fromkeys(guard.args))
+            rows = self.matches(guard, bound, variables, scope)
+            image = _getter([variables.index(a) for a in rest[0].args])
+            member = self.member(rest[0])
+            test = any if stop else all
+            return lambda env: test(map(member, map(image, rows(env))))
         quantified = tuple(dict.fromkeys(a for a in guard.args if a in chain))
-        key = (guard.pred, guard.args, bound)
-        if key not in indexes:
-            indexes[key] = _guard_index(s, guard, bound, quantified)
-        rows = indexes[key].get(tuple(env[a] for a in bound), ())
-        return test(all(_eval(s, g, {**env, **dict(zip(quantified, row))},
-                              indexes) for g in rest)
-                    for row in rows)
-    return test(_eval(s, f.body, {**env, f.var: a}, indexes) for a in s.domain)
+        inner_scope = self.slots(quantified, scope)
+        lo = inner_scope[quantified[0]]
+        hi = lo + len(quantified)
+        rows = self.matches(guard, bound, quantified, scope)
+        body = _connective([self.compile(g, inner_scope) for g in rest], False)
+
+        def quantify(env):
+            for env[lo:hi] in rows(env):
+                if body(env) == stop:
+                    return stop
+            return not stop
+        return quantify
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +408,8 @@ def layered_from_structure(s: Structure, bound: int) -> LayeredStructure:
 def evaluate_layered(layer: LayeredStructure, f: Formula,
                      assignment: Sequence = ()) -> bool:
     """Evaluate an adjacent formula with at most ``bound`` variables by the
-    same recursion as ``evaluate``: guarded quantifiers look their matches
-    up in the layer's true facts, every other atom is asked of
+    same compiled evaluator as ``evaluate``: guarded quantifiers look their
+    matches up in the layer's true facts, every other atom is asked of
     ``LayeredStructure.holds``.  By construction every queried tuple stays
     within the bound."""
     normal = syntax.index_normal(f)
@@ -305,7 +425,7 @@ def evaluate_layered(layer: LayeredStructure, f: Formula,
             f"formula uses {width} variables, above layer bound {layer.bound}")
 
     env = {syntax.var(i + 1): a for i, a in enumerate(assignment)}
-    return _eval(layer, normal, env, {})
+    return _Compiler(layer).run(normal, env)
 
 
 def extend_layer(layer: LayeredStructure, assignments: Mapping) -> LayeredStructure:

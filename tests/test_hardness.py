@@ -196,3 +196,25 @@ def test_fault_injection_fails_a_conjunct():
     broken = M.Structure(structure.domain, exts)
     report = H.check_conjuncts(enc, broken)
     assert not report["pass"]
+
+
+@pytest.mark.parametrize("machine", ["hop", "fork"])
+@pytest.mark.parametrize("pred, pick, failing", [
+    (H.F_N, min, {"epsilon_El_n", "epsilon_Er_n"}),
+    (H.G_2N, min, {"zeta_V_2n"}),
+    (H.G_N, max, {"zeta_V_n"}),
+])
+def test_fault_injection_fails_exactly_the_saturation_conjunct(
+        machine, pred, pick, failing):
+    # Dropping one tuple of a saturated guard breaks the sentence that
+    # saturates it, and only that one.
+    status, tree = H.simulate_atm(_machine(machine), "11")
+    assert status == "accept"
+    structure = H.embed_and_expand(tree, 2)
+    exts = dict(structure.extensions)
+    (key,) = [k for k in exts if k[0] == pred]
+    exts[key] = exts[key] - {pick(exts[key])}
+    report = H.check_conjuncts(H.encode_atm(_machine(machine), "11"),
+                               M.Structure(structure.domain, exts))
+    assert {r["conjunct"] for r in report["conjuncts"]
+            if r["verdict"] == "fail"} == failing

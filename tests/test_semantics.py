@@ -58,7 +58,7 @@ def test_guarded_quantifier_shadows_and_repeats():
 def test_complete_signature():
     s = M.make_structure(["a"], {})
     f = S.parse("forall x1 (p(x1) | !p(x1))")
-    full = M.complete_signature(s, f)
+    full = M.complete_signature(s, S.signature(f))
     assert ("p", 1) in full.extensions
     assert M.evaluate(full, f)
 
@@ -66,15 +66,15 @@ def test_complete_signature():
 def test_complete_signature_adds_only_missing_predicates():
     s = M.make_structure(["a", "b"], {("r", 2): [("a", "b")]})
     # Every predicate interpreted: the structure itself comes back.
-    assert M.complete_signature(s, S.parse("forall x1 r(x1,x1)")) is s
+    assert M.complete_signature(s, {"r": 2}) is s
     f = S.parse("forall x1 forall x2 (r(x1,x2) -> p(x1))")
-    full = M.complete_signature(s, f)
+    full = M.complete_signature(s, S.signature(f))
     assert full.domain == s.domain
     assert full.extensions == {("r", 2): s.extensions[("r", 2)],
                                ("p", 1): frozenset()}
     assert ("p", 1) not in s.extensions
     assert not M.evaluate(full, f)
-    assert M.complete_signature(full, f) is full
+    assert M.complete_signature(full, S.signature(f)) is full
 
 
 def _random_structure(rng, size, name, arity):
@@ -308,3 +308,67 @@ def test_evaluate_matches_naive_oracle(data):
         names = free | data.draw(st.frozensets(st.sampled_from(VARS)))
         assignment = env = {v: data.draw(element) for v in sorted(names)}
     assert M.evaluate(s, f, assignment) == naive_evaluate(s, f, env)
+
+
+@st.composite
+def one_atom_guarded(draw):
+    """forall chain (guard -> atom) or exists chain (guard & atom), where the
+    guard's variables are the chain's and some bound outside it, possibly
+    repeated, and the atom's arguments are guard variables (sometimes the
+    atom is the guard itself); inside up to two outer quantifiers, which
+    may bind the guard's bound variables or be shadowed by the chain."""
+    chain = draw(st.lists(st.sampled_from(VARS), min_size=1, max_size=3))
+    names = list(dict.fromkeys(chain))
+    outside = [v for v in VARS if v not in names]
+    if outside and draw(st.booleans()):
+        names += draw(st.lists(st.sampled_from(outside), min_size=1,
+                               unique=True))
+    name, arity = draw(st.sampled_from(
+        [pa for pa in PREDS if pa[1] >= len(names)]))
+    extra = draw(st.lists(st.sampled_from(names), min_size=arity - len(names),
+                          max_size=arity - len(names)))
+    guard = S.Atom(name, tuple(draw(st.permutations(names + extra))))
+    body_name, body_arity = draw(st.sampled_from(PREDS))
+    body = S.Atom(body_name, tuple(draw(st.lists(
+        st.sampled_from(names), min_size=body_arity, max_size=body_arity))))
+    if draw(st.integers(0, 3)) == 0:
+        body = guard
+    if draw(st.booleans()):
+        f, cls = S.Implies(guard, body), S.Forall
+    else:
+        f, cls = S.And(draw(st.permutations((guard, body)))), S.Exists
+    for v in reversed(chain):
+        f = cls(v, f)
+    for v, cls in draw(st.lists(st.tuples(st.sampled_from(VARS),
+                                          st.sampled_from((S.Forall, S.Exists))),
+                                max_size=2)):
+        f = cls(v, f)
+    return f
+
+
+def _layer_width(f):
+    """The least layer bound ``evaluate_layered`` accepts for f."""
+    normal = S.index_normal(f)
+    return max([1, S.max_index(normal)]
+               + [S.var_index(v) for v in S.free_vars(f)]
+               + [S.var_index(g.var) for g in S.subformulas(normal)
+                  if isinstance(g, (S.Forall, S.Exists))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_atom_guarded_quantifiers_match_naive_oracle(data):
+    s = data.draw(structures())
+    f = data.draw(one_atom_guarded())
+    need = max((S.var_index(v) for v in S.free_vars(f)), default=0)
+    assignment = tuple(data.draw(st.lists(st.sampled_from(s.domain),
+                                          min_size=need, max_size=need)))
+    expected = naive_evaluate(
+        s, f, {S.var(i + 1): a for i, a in enumerate(assignment)})
+    assert M.evaluate(s, f, assignment) == expected
+    if S.classify(f).adjacent:
+        # The layer keeps only the facts within the formula's width; an
+        # adjacent formula never asks about the others.
+        lay = M.layered_from_structure(s, _layer_width(f))
+        assert M.evaluate_layered(lay, f, assignment) == expected
+        assert lay.overbound_queries == 0
