@@ -7,6 +7,7 @@ failed check), 2 usage or input error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -200,7 +201,9 @@ def cmd_atm_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `af` parser, built once per process and reused by `run`."""
     parser = argparse.ArgumentParser(
         prog="af", description="Adjacent-fragment workbench")
     sub = parser.add_subparsers(dest="verb", required=True)

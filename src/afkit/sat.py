@@ -290,49 +290,39 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     wit = [[mask(T.type_table([z, gamma, delta_hat], up, atom_cap))
             for z in admissible] for gamma in nf.gammas]
 
-    # Group admissible types by their 1-type and enumerate compatible
-    # connector-types per group.
+    # Group admissible types by their 1-type (as bitmasks over
+    # ``admissible``); the compatible connector-types of a group are pi
+    # squared plus a submask of the rest.  need[om] is the mask of the
+    # inverses of om's members (inverse is a bijection, so sum is union).
     groups: dict = {}
     for i, t in enumerate(admissible):
-        groups.setdefault(T.restrict_to_ones(t), []).append(i)
-    pool: list = []  # bitmasks over the global admissible list
+        pi = T.restrict_to_ones(t)
+        groups[pi] = groups.get(pi, 0) | 1 << i
+    need: dict = {}
     budget = pool_cap
     for pi in sorted(groups, key=lambda p: p.bits):
-        members = groups[pi]
-        pi2 = T.one_type_squared(pi, keys2)
-        if pi2 not in index or index[pi2] not in members:
+        pi2 = index.get(T.one_type_squared(pi, keys2))
+        if pi2 is None or not groups[pi] >> pi2 & 1:
             continue
-        base = 1 << index[pi2]
-        rest = [i for i in members if (1 << i) != base]
-        if (1 << len(rest)) > budget:
+        base = 1 << pi2
+        rest = groups[pi] ^ base
+        if (1 << rest.bit_count()) > budget:
             raise ResourceError(
                 f"connector-type pool would exceed the cap of {pool_cap}")
-        budget -= 1 << len(rest)
-        for bits in range(1 << len(rest)):
-            omega = base
-            b = bits
-            for i in rest:
-                if b & 1:
-                    omega |= 1 << i
-                b >>= 1
+        budget -= 1 << rest.bit_count()
+        sub = 0
+        while True:
+            omega = base | sub
             if _mask_compatible(omega, inv, start_masks, wit, link):
-                pool.append(omega)
-    pool.sort()
-    trace.append({"stage": "pool", "compatible": len(pool)})
+                need[omega] = sum(1 << inv[i] for i in _bits(omega))
+            sub = (sub - rest) & rest
+            if not sub:
+                break
+    trace.append({"stage": "pool", "compatible": len(need)})
 
     # Greatest coherence-closed subset under the existential condition: a
     # connector-type survives iff the inverse of each member still occurs
     # somewhere in the pool, i.e. in the union of the surviving masks.
-    need = {}
-    for om in pool:
-        req = 0
-        for i in _bits(om):
-            if inv[i] is None:
-                req = -1
-                break
-            req |= 1 << inv[i]
-        if req >= 0:
-            need[om] = req
     pool_set = set(need)
     while True:
         union = 0
@@ -343,10 +333,10 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
             break
         pool_set = keep
     # Few-membered connector-types first: they yield smaller witness models.
-    pruned = sorted(pool_set, key=lambda m: (bin(m).count("1"), m))
+    pruned = sorted(pool_set, key=lambda m: (m.bit_count(), m))
     trace.append({"stage": "closure", "remaining": len(pruned)})
 
-    cert_masks = _find_certificate(pruned, inv)
+    cert_masks = _find_certificate(pruned, need, inv)
     if cert_masks is None:
         trace.append({"stage": "certificate", "size": 0,
                       "reason": ("empty pool after closure" if not pruned
@@ -390,60 +380,42 @@ def _mask_compatible(omega: int, inv, start_masks, wit, link) -> bool:
     return True
 
 
-def _find_certificate(pool: list, inv) -> Optional[list]:
+def _find_certificate(pool: list, need: dict, inv) -> Optional[list]:
     """Smallest-first search for a non-empty subset of the pool that is
-    closed under inverses and pairwise linked in both directions."""
-    if not pool:
-        return None
-    link_memo: dict = {}
+    closed under inverses and pairwise linked in both directions.
 
-    def linked(a: int, b: int) -> bool:
-        got = link_memo.get((a, b))
-        if got is None:
-            got = False
-            for i in _bits(a):
-                if inv[i] is not None and b & (1 << inv[i]):
-                    got = True
-                    break
-            link_memo[(a, b)] = got
-        return got
-
-    usable = [om for om in pool if linked(om, om)]
+    Relies on the pool's invariants: every member type has an admissible
+    inverse (``_mask_compatible`` rejects the rest) and ``need[om]`` is the
+    mask of those inverses, so ``a`` links to ``b`` iff ``need[a] & b``;
+    every member holds pi squared, its own inverse, so it links to itself.
+    A selection is inverse-closed iff the union of its needs lies in the
+    union of its members.  Otherwise the first missing inverse (members in
+    mask order, their bits ascending) names the candidates, tried in pool
+    order."""
     by_bit: dict = {}
-    for om in usable:
+    for om in pool:
         for i in _bits(om):
             by_bit.setdefault(i, []).append(om)
     seen: set = set()
 
-    def needed(sel: frozenset) -> Optional[int]:
-        for om in sorted(sel):
-            for i in _bits(om):
-                if inv[i] is None:
-                    return -1
-                if not any((1 << inv[i]) & o2 for o2 in sel):
-                    return inv[i]
-        return None
-
-    def search(sel: frozenset) -> Optional[list]:
+    def search(sel: frozenset, union: int, needs: int) -> Optional[list]:
         if sel in seen:
             return None
         seen.add(sel)
-        miss = needed(sel)
-        if miss is None:
+        if not needs & ~union:
             return sorted(sel)
-        if miss == -1:
-            return None
+        miss = next(inv[i] for om in sorted(sel) for i in _bits(om)
+                    if not union >> inv[i] & 1)
         for om in by_bit.get(miss, ()):
-            if om in sel:
-                continue
-            if all(linked(om, o2) and linked(o2, om) for o2 in sel):
-                found = search(sel | {om})
+            if om not in sel and all(need[om] & o2 and need[o2] & om
+                                     for o2 in sel):
+                found = search(sel | {om}, union | om, needs | need[om])
                 if found is not None:
                     return found
         return None
 
-    for seed in usable:
-        found = search(frozenset([seed]))
+    for seed in pool:
+        found = search(frozenset([seed]), seed, need[seed])
         if found is not None:
             return found
     return None

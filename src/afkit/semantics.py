@@ -37,7 +37,7 @@ class Structure:
                 if len(t) != arity:
                     raise SemanticsError(
                         f"tuple {t!r} in {name}/{arity} has wrong arity")
-                if not set(t) <= dom:
+                if not dom.issuperset(t):
                     raise SemanticsError(
                         f"tuple {t!r} in {name}/{arity} leaves the domain")
 

@@ -8,6 +8,7 @@ two-variable input can be written naturally.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -495,62 +496,32 @@ def _word_adjacent(w: tuple) -> bool:
     return all(abs(w[i + 1] - w[i]) <= 1 for i in range(len(w) - 1))
 
 
-class _Levels:
-    """The set of k with membership at level k, as a finite part within
-    [0, cap] plus an 'all levels >= threshold' tail."""
-
-    __slots__ = ("finite", "tail")
-
-    def __init__(self, finite: frozenset, tail: Optional[int]):
-        self.finite = finite
-        self.tail = tail
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.finite or (self.tail is not None and k >= self.tail)
-
-    def min(self) -> Optional[int]:
-        vals = set(self.finite)
-        if self.tail is not None:
-            vals.add(self.tail)
-        return min(vals) if vals else None
-
-    def intersect(self, other: "_Levels") -> "_Levels":
-        if self.tail is not None and other.tail is not None:
-            tail = max(self.tail, other.tail)
-        else:
-            tail = None
-        hi = max([t for t in (self.tail, other.tail) if t is not None],
-                 default=0)
-        finite = frozenset(
-            k for k in self.finite | other.finite |
-            frozenset(range(hi + 1))
-            if k in self and k in other and (tail is None or k < tail)
-        )
-        return _Levels(finite, tail)
-
-
-_NONE_LEVELS = _Levels(frozenset(), None)
-
-
-def _af_levels(f: Formula) -> _Levels:
+def _af_levels(f: Formula) -> tuple:
+    """The levels k at which f belongs to the adjacent fragment, as an
+    interval ``(lo, hi)`` with ``hi`` possibly ``math.inf``; ``lo > hi``
+    means none.  Intervals suffice: an adjacent atom holds every level from
+    its largest index up, a quantifier on x_j exactly level j - 1 (when its
+    body holds level j) or none, and a connective the intersection of its
+    children's intervals."""
     if isinstance(f, Atom):
         w = _word_of(f)
         if w is None or not _word_adjacent(w):
-            return _NONE_LEVELS
-        return _Levels(frozenset(), max(w, default=0))
+            return (1, 0)
+        return (max(w, default=0), math.inf)
     if isinstance(f, Not):
         return _af_levels(f.body)
     if isinstance(f, (And, Or, Implies, Iff)):
-        out = _Levels(frozenset(), 0)
+        lo, hi = 0, math.inf
         for c in children(f):
-            out = out.intersect(_af_levels(c))
-        return out
+            c_lo, c_hi = _af_levels(c)
+            lo, hi = max(lo, c_lo), min(hi, c_hi)
+        return (lo, hi)
     if isinstance(f, (Forall, Exists)):
         j = var_index(f.var)
         if j is None:
-            return _NONE_LEVELS
-        body = _af_levels(f.body)
-        return _Levels(frozenset({j - 1}) if j in body else frozenset(), None)
+            return (1, 0)
+        lo, hi = _af_levels(f.body)
+        return (j - 1, j - 1) if lo <= j <= hi else (1, 0)
     raise FormulaError("unexpected node in classification")
 
 
@@ -618,12 +589,9 @@ def _guarded(f: Formula) -> bool:
 
 def classify(f: Formula) -> FragmentReport:
     normal = index_normal(f)
-    if normal is None:
-        levels = _NONE_LEVELS
-    else:
-        levels = _af_levels(normal)
-    min_k = levels.min()
-    adjacent = min_k is not None
+    lo, hi = (1, 0) if normal is None else _af_levels(normal)
+    adjacent = lo <= hi
+    min_k = lo if adjacent else None
     names = {a for atom in atoms(normal or f) for a in atom.args}
     names |= {g.var for g in subformulas(normal or f)
               if isinstance(g, (Forall, Exists))}
@@ -874,7 +842,8 @@ def af_to_fo2(f: Formula, cap: int = _DEFAULT_NODE_CAP) -> Formula:
             raise FormulaError(
                 f"predicate {a.pred} has arity {a.arity}; at most 2 supported")
     normal = index_normal(f)
-    if normal is None or _af_levels(normal).min() is None:
+    lo, hi = (1, 0) if normal is None else _af_levels(normal)
+    if lo > hi:
         raise FormulaError("input is not an adjacent formula")
     separated = strip_units(_split_clauses(normal, cap))
     for g in subformulas(separated):

@@ -197,7 +197,7 @@ def test_three_variable_decider_against_oracle():
         if res.satisfiable:
             if res.model is None or not X.verify_normal_form(nf, res.model):
                 ok = False
-            if len(res.model.domain) <= 12 and not M.evaluate(res.model, f):
+            if not M.evaluate(res.model, f):
                 ok = False
     elapsed = time.perf_counter() - t0
     _report("three-variable decider vs oracle on the 30-formula corpus",

@@ -162,6 +162,31 @@ def test_pool_matches_reference_compatibility():
     assert checked == 28
 
 
+def test_certificate_matches_reference_coherence():
+    """Every certificate is a coherent set of compatible connector-types;
+    where the reference pool (compatible candidates) has at most 12
+    members, the verdict is SAT iff some non-empty subset is coherent."""
+    exhausted = 0
+    for gs, d, _expect in AF3_CORPUS + [WITNESS_PROBE]:
+        nf = X.normalize(S.parse(nf_text(gs, d, 2)))
+        res = X.decide_af3(nf)
+        if res.satisfiable:
+            assert T.coherent(res.certificate)
+            assert all(T.compatible(om, nf) for om in res.certificate)
+        candidates = connector_candidates(nf)
+        if len(candidates) > 300:
+            continue
+        pool = [om for om in candidates if T.compatible(om, nf)]
+        if len(pool) > 12:
+            continue
+        some_coherent = any(
+            T.coherent(sub) for r in range(1, len(pool) + 1)
+            for sub in itertools.combinations(pool, r))
+        assert res.satisfiable == some_coherent, (gs, d)
+        exhausted += 1
+    assert exhausted == 20
+
+
 def test_build_model_is_verified():
     f = S.parse(nf_text(["r(x2,x3) & !r(x3,x2)"], "!r(x1,x1)", 2))
     nf = X.normalize(f)
