@@ -424,9 +424,20 @@ def _find_certificate(pool: list, need: dict, inv) -> Optional[list]:
 # ---------------------------------------------------------------------------
 # Model construction
 
+# Cells per chunk when ``verify_normal_form`` walks x1, or the joining fill
+# of ``build_model`` its first element: no array of either grows with the
+# cube of the domain.
+CELL_BUDGET = 1 << 20
+
+
 def verify_normal_form(nf: NormalFormFormula, model: M.Structure) -> bool:
     """Direct check that a structure satisfies a normal-form sentence;
-    equivalent to evaluate on the rebuilt sentence, but vectorized."""
+    equivalent to evaluate on the rebuilt sentence, but vectorized.
+
+    Each predicate becomes a dense boolean table, filled by one fancy-index
+    assignment.  The gammas and delta are evaluated over x1 in chunks, so
+    no array has more than about ``CELL_BUDGET`` cells beyond the tables
+    (or one x1 slice, if that is larger)."""
     import numpy as np
     n = len(model.domain)
     index = {a: i for i, a in enumerate(model.domain)}
@@ -436,26 +447,31 @@ def verify_normal_form(nf: NormalFormFormula, model: M.Structure) -> bool:
             tables[name] = () in ext
             continue
         table = np.zeros((n,) * arity, dtype=bool)
-        for args in ext:
-            table[tuple(index[x] for x in args)] = True
+        flat = np.fromiter(map(index.__getitem__,
+                               itertools.chain.from_iterable(ext)),
+                           dtype=np.intp, count=len(ext) * arity)
+        table[tuple(flat.reshape(-1, arity).T)] = True
         tables[name] = table
-    nvars = nf.ell + 1
-    grids = np.ix_(*([np.arange(n)] * nvars))
+    step = max(1, CELL_BUDGET // max(n, 1) ** nf.ell)
+    rest = [np.arange(n)] * nf.ell
+    for lo in range(0, max(n, 1), step):
+        grids = np.ix_(np.arange(lo, min(n, lo + step)), *rest)
+        shape = tuple(g.size for g in grids)
 
-    def leaf(key):
-        name, word = key
-        if not word:
-            return np.bool_(tables[name])
-        return tables[name][tuple(grids[i - 1] for i in word)]
+        def leaf(key):
+            name, word = key
+            if not word:
+                return np.bool_(tables[name])
+            return tables[name][tuple(grids[i - 1] for i in word)]
 
-    cache: dict = {}
-    full = np.zeros((n,) * nvars, dtype=bool)
-    for gamma in nf.gammas:
-        arr = full | T.qf_array(gamma, leaf, cache)
-        if not arr.any(axis=-1).all():
+        cache: dict = {}
+        for gamma in nf.gammas:
+            arr = np.broadcast_to(T.qf_array(gamma, leaf, cache), shape)
+            if not arr.any(axis=-1).all():
+                return False
+        if not np.broadcast_to(T.qf_array(nf.delta, leaf, cache), shape).all():
             return False
-    delta = full | T.qf_array(nf.delta, leaf, cache)
-    return bool(delta.all())
+    return True
 
 
 H_SIZE = 3  # witnessing phases: the witnesses of phase h live in h + 1 mod 3
@@ -470,6 +486,72 @@ def _surjective_facts(t: AdjType, k: int) -> list:
             for (name, word), value in t.items() if set(word) == full]
 
 
+def _template(facts: list) -> list:
+    """(predicate, positions, value) literals grouped per predicate as
+    (name, positions array (f, arity), values array (f,))."""
+    import numpy as np
+    grouped: dict = {}
+    for name, word, value in facts:
+        grouped.setdefault(name, []).append((word, value))
+    return [(name, np.array([w for w, _ in lits], dtype=np.intp),
+             np.array([v for _, v in lits], dtype=bool))
+            for name, lits in grouped.items()]
+
+
+def _groups(key):
+    """(value, indices) for each distinct value of an integer array, in
+    ascending order of value."""
+    import numpy as np
+    order = np.argsort(key, kind="stable")
+    values, firsts = np.unique(key[order], return_index=True)
+    return zip(values.tolist(), np.split(order, firsts[1:]))
+
+
+class _Facts:
+    """The facts a construction writes, per predicate as coordinate arrays
+    of element ids with one truth value per row."""
+
+    def __init__(self):
+        self.coords: dict = {}  # name -> [int32 array (rows, arity), ...]
+        self.values: dict = {}  # name -> [bool array (rows,), ...]
+
+    def write(self, template: list, *elems) -> None:
+        """Write a ``_template`` on every column of ``elems``: position p
+        of column m is the element ``elems[p][m]``."""
+        import numpy as np
+        rows = np.stack(elems).astype(np.int32, copy=False)
+        m = rows.shape[1]
+        for name, words, values in template:
+            f, k = words.shape
+            self.coords.setdefault(name, []).append(
+                rows[words].transpose(0, 2, 1).reshape(f * m, k))
+            self.values.setdefault(name, []).append(np.repeat(values, m))
+
+    def true_tuples(self, name: str, arity: int, domain: list) -> frozenset:
+        """The true tuples of one predicate, as tuples of domain members;
+        one sort finds any atom written with both values."""
+        import numpy as np
+        if name not in self.coords:
+            return frozenset()
+        coords = np.concatenate(self.coords.pop(name))
+        values = np.concatenate(self.values.pop(name))
+        order = np.lexsort((values, *coords.T[::-1]))
+        coords, values = coords[order], values[order]
+        same = (coords[1:] == coords[:-1]).all(axis=1)
+        clash = same & (values[1:] != values[:-1])
+        if clash.any():
+            args = coords[clash.argmax()].tolist()
+            raise RuntimeError(
+                f"internal consistency failure: {name}"
+                f"{tuple(domain[x] for x in args)!r} assigned twice")
+        values[1:] &= ~same
+        rows = coords[values]
+        if not arity:
+            return frozenset([()] * len(rows))
+        return frozenset(zip(*[map(domain.__getitem__, col)
+                               for col in rows.T.tolist()]))
+
+
 def build_model(certificate: Sequence, nf: NormalFormFormula,
                 atom_cap: int = T.DEFAULT_ATOM_CAP,
                 trace: Optional[list] = None) -> M.Structure:
@@ -479,14 +561,22 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     Elements are (connector-type, 2-type, phase, conjunct, placement)
     index tuples; the placement indices and their fresh-choice function
     are the verified ones of ``words.small_pair_placement``.  The stages
-    run over interned ids: every 2-type of the certificate gets an id in
-    bit order, with its inverse and shifted type computed once, and a pair
-    or triple of elements writes the precomputed facts its type fixes on
-    exactly those elements.  Each witnessing or joining 3-type is found
-    once per (incoming 2-type, outgoing 2-type, conjunct) as the first
-    true cell of one truth table, ``aftypes.satisfying_types``.  With a
-    ``trace`` list, a ``model`` row records the time, the domain and fact
-    counts and the number of 3-type searches."""
+    run over element-id arrays: every 2-type of the certificate gets an id
+    in bit order, with its inverse and shifted type computed once, the
+    pair types are an n x n id array, and each stage writes the facts a
+    type fixes on exactly its elements as one array operation per group of
+    pairs or triples that share it: per (connector-type, 2-type) for the
+    unary facts, circular witnessing and the linking fill, per (incoming
+    2-type, connector-type) for the witnesses, and per (incoming 2-type,
+    outgoing 2-type) for the joining fill, which walks the first element in
+    chunks, so no array has |D|^3 cells.  Each witnessing or joining 3-type
+    is found once per (incoming 2-type, outgoing 2-type, conjunct) as the
+    first true cell of one truth table, ``aftypes.satisfying_types``.  The
+    facts are kept per predicate as coordinate arrays, and one sort per
+    predicate rejects an atom written with both values.  With a ``trace``
+    list, a ``model`` row records the time, the domain and fact counts and
+    the number of 3-type searches."""
+    import numpy as np
     start = time.perf_counter()
     if nf.ell != 2:
         raise FormulaError("model construction handles 3-variable normal form")
@@ -497,19 +587,20 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     two_types = sorted({t for om in omegas for t in om.types},
                        key=lambda t: t.bits)
     t_id = {t: i for i, t in enumerate(two_types)}
-    inv = [t_id[t.inverse(2)] for t in two_types]
+    inv = np.array([t_id[t.inverse(2)] for t in two_types], dtype=np.int32)
     shifted = [t.shift_up() for t in two_types]
-    pair_facts = [_surjective_facts(t, 2) for t in two_types]
     members = [sorted(t_id[t] for t in om.types) for om in omegas]
     # holder[t]: the first connector-type holding the inverse of t;
     # link[o][o2]: the first member of o whose inverse o2 holds.
     holder = [next(o for o, ms in enumerate(members) if inv[t] in ms)
               for t in range(len(two_types))]
-    link = [[next(t for t in ms if inv[t] in ms2) for ms2 in members]
-            for ms in members]
+    link = np.array([[next(t for t in ms if inv[t] in ms2) for ms2 in members]
+                     for ms in members], dtype=np.int32)
 
     n_gammas = len(nf.gammas) or 1
     j_size, placement = W.small_pair_placement()
+    place = np.array([[placement[(a, b)] for b in range(j_size)]
+                      for a in range(j_size)])
     domain = [(o, t, h, i, j)
               for o in range(len(omegas)) for t in range(len(two_types))
               for h in range(H_SIZE) for i in range(n_gammas)
@@ -518,45 +609,47 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     # The element (holder[t], t, h, i, j) has id base[t] + h * h_stride +
     # i * j_size + j: the witnesses for t live there.
     h_stride = n_gammas * j_size
+    o_stride = len(two_types) * H_SIZE * h_stride
     base = [(holder[t] * len(two_types) + t) * H_SIZE * h_stride
             for t in range(len(two_types))]
+    ids = np.arange(n)
+    o_of = ids // o_stride
+    h_of = ids // h_stride % H_SIZE
+    j_of = ids % j_size
 
-    facts: dict = {}  # (predicate, element ids) -> truth value
-
-    def write(template: list, elems: tuple) -> None:
-        for name, word, value in template:
-            args = tuple([elems[p] for p in word])
-            if facts.setdefault((name, args), value) != value:
-                raise RuntimeError(
-                    f"internal consistency failure: {name}"
-                    f"{tuple(domain[x] for x in args)!r} assigned twice")
+    facts = _Facts()
+    pair_facts = [_template(_surjective_facts(t, 2)) for t in two_types]
 
     # Stage 1: unary facts from each element's shared 1-type.
-    unary = [[(name, (0,) * len(word), value)
-              for (name, word), value in om.tp.items()] for om in omegas]
-    for a, (o, *_) in enumerate(domain):
-        write(unary[o], (a,))
+    for o, om in enumerate(omegas):
+        facts.write(_template([(name, (0,) * len(word), value)
+                                    for (name, word), value in om.tp.items()]),
+                    ids[o * o_stride:(o + 1) * o_stride])
 
-    # Stage 2: circular witnessing, then a linking fill.
-    pair = [-1] * (n * n)  # pair[a * n + b]: the 2-type id of (a, b)
-
-    def set_pair(a: int, b: int, t: int) -> None:
-        pair[a * n + b], pair[b * n + a] = t, inv[t]
-        write(pair_facts[t], (a, b))
-
-    for a, (o, _, h, _, _) in enumerate(domain):
-        for t in members[o]:
-            for i in range(n_gammas):
-                for j in range(j_size):
-                    set_pair(a, base[t] + (h + 1) % H_SIZE * h_stride
-                             + i * j_size + j, t)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if pair[a * n + b] == -1:
-                set_pair(a, b, link[domain[a][0]][domain[b][0]])
+    # Stage 2: circular witnessing, then a linking fill.  pair[a, b] is the
+    # 2-type id of (a, b), -1 on the diagonal.
+    pair = np.full((n, n), -1, dtype=np.int32)
+    for o, ms in enumerate(members):
+        src = ids[o * o_stride:(o + 1) * o_stride, None]
+        # Each element's witnesses sit in the next phase, at every
+        # (conjunct, placement) offset.
+        offsets = ((h_of[src] + 1) % H_SIZE * h_stride
+                   + np.arange(h_stride)[None, :])
+        src = np.broadcast_to(src, offsets.shape).ravel()
+        for t in ms:
+            dst = (base[t] + offsets).ravel()
+            pair[src, dst] = t
+            pair[dst, src] = inv[t]
+            facts.write(pair_facts[t], src, dst)
+    a, b = np.nonzero(np.triu(pair == -1, 1))
+    fill = link[o_of[a], o_of[b]]
+    pair[a, b] = fill
+    pair[b, a] = inv[fill]
+    for t, sel in _groups(fill):
+        facts.write(pair_facts[t], a[sel], b[sel])
 
     # Stage 3: adjacent 3-types, witnesses first, then the universal fill.
-    theta_facts: dict = {}  # (zeta, eta, gamma index or -1) -> facts
+    theta_facts: dict = {}  # (zeta, eta, gamma index or -1) -> template
 
     def theta(zeta: int, eta: int, gi: int) -> list:
         key = (zeta, eta, gi)
@@ -569,7 +662,7 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
                 raise RuntimeError("internal consistency failure: no "
                                    f"{'witnessing' if gi >= 0 else 'joining'}"
                                    " type")
-            theta_facts[key] = _surjective_facts(found, 3)
+            theta_facts[key] = _template(_surjective_facts(found, 3))
         return theta_facts[key]
 
     def witness_steps(zeta: int, o: int) -> list:
@@ -587,40 +680,49 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     # The joining fill only ever writes atoms whose word covers all three
     # positions; without such keys the facts are already complete.
     joins = any(set(word) == {1, 2, 3} for _, word in keys3)
-    assigned: set = set()  # witnessed triples, closed under reversal
-    steps: dict = {}  # (zeta, omega) -> witness_steps(zeta, omega)
-    for a in range(n):
-        ja = domain[a][4]
-        for b in range(n):
-            if a == b:
-                continue
-            o2, _, h2, _, jb = domain[b]
-            key = (pair[a * n + b], o2)
-            if key not in steps:
-                steps[key] = witness_steps(*key)
-            shift = (h2 + 1) % H_SIZE * h_stride + placement[(ja, jb)]
-            for template, offset in steps[key]:
-                c = offset + shift
-                if c == a or c == b:
-                    raise RuntimeError("internal consistency failure: "
-                                       "witness placement collided")
-                write(template, (a, b, c))
-                if joins:
-                    assigned.add((a, b, c))
-                    assigned.add((c, b, a))
-    for a, b, c in itertools.permutations(range(n), 3) if joins else ():
-        if (a, b, c) in assigned:
-            continue
-        write(theta(pair[a * n + b], pair[b * n + c], -1), (a, b, c))
-        assigned.add((a, b, c))
-        assigned.add((c, b, a))
+    # witness[gi, a, b]: the witness for (a, b) and conjunct gi, or -1.
+    witness = np.full((len(nf.gammas), n, n), -1, dtype=np.int32) \
+        if joins else None
+    a, b = np.nonzero(pair >= 0)
+    for key, sel in _groups(pair[a, b].astype(np.int64) * len(omegas)
+                            + o_of[b]):
+        ga, gb = a[sel], b[sel]
+        shift = (h_of[gb] + 1) % H_SIZE * h_stride + place[j_of[ga], j_of[gb]]
+        for gi, (template, offset) in enumerate(witness_steps(
+                *divmod(key, len(omegas)))):
+            gc = offset + shift
+            if ((gc == ga) | (gc == gb)).any():
+                raise RuntimeError("internal consistency failure: "
+                                   "witness placement collided")
+            facts.write(template, ga, gb, gc)
+            if joins:
+                witness[gi, ga, gb] = gc
+    # Every triple of distinct elements that is not witnessed in either
+    # direction gets a joining type, written once in the direction whose
+    # first element is the smaller.
+    step = max(1, CELL_BUDGET // (n * n))
+    for lo in range(0, n, step) if joins else ():
+        hi = min(n, lo + step)
+        first = np.arange(lo, hi)
+        # todo[a - lo, b, c]: a < c, a != b != c, and not witnessed.
+        todo = np.broadcast_to(first[:, None, None] < ids,
+                               (hi - lo, n, n)).copy()
+        todo[np.arange(hi - lo), first, :] = False
+        todo[:, ids, ids] = False
+        for w in witness:
+            ra, rb = np.nonzero(w[lo:hi] >= 0)
+            todo[ra, rb, w[lo + ra, rb]] = False
+            ca, cb = np.nonzero((w >= lo) & (w < hi))
+            todo[w[ca, cb] - lo, cb, ca] = False
+        ta, tb, tc = np.nonzero(todo)
+        del todo
+        ta += lo
+        for key, sel in _groups(pair[ta, tb].astype(np.int64)
+                                * len(two_types) + pair[tb, tc]):
+            facts.write(theta(*divmod(key, len(two_types)), -1),
+                        ta[sel], tb[sel], tc[sel])
 
-    true_args: dict = {}
-    for (name, args), value in facts.items():
-        if value:
-            true_args.setdefault(name, []).append(
-                tuple([domain[x] for x in args]))
-    exts = {(name, arity): frozenset(true_args.get(name, ()))
+    exts = {(name, arity): facts.true_tuples(name, arity, domain)
             for name, arity in S.signature(sent).items()}
     model = M.Structure(tuple(domain), exts)
     if not verify_normal_form(nf, model):
@@ -638,9 +740,12 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
 def rename_model(model: M.Structure) -> M.Structure:
     """A copy whose elements are e0, e1, ... for serialization."""
     names = {a: f"e{i}" for i, a in enumerate(model.domain)}
-    exts = {key: frozenset(tuple(names[x] for x in t) for t in ext)
-            for key, ext in model.extensions.items()}
-    return M.Structure(tuple(names[a] for a in model.domain), exts)
+    exts = {}
+    for (name, arity), ext in model.extensions.items():
+        flat = map(names.__getitem__, itertools.chain.from_iterable(ext))
+        exts[(name, arity)] = (frozenset(zip(*[flat] * arity)) if arity
+                               else frozenset(ext))
+    return M.Structure(tuple(map(names.__getitem__, model.domain)), exts)
 
 
 # ---------------------------------------------------------------------------

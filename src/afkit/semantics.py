@@ -5,6 +5,7 @@ length bound, products, and bounded agreement.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -33,6 +34,9 @@ class Structure:
     def __post_init__(self):
         dom = set(self.domain)
         for (name, arity), ext in self.extensions.items():
+            if set(map(len, ext)) <= {arity} and dom.issuperset(
+                    itertools.chain.from_iterable(ext)):
+                continue
             for t in ext:
                 if len(t) != arity:
                     raise SemanticsError(
@@ -84,15 +88,43 @@ def structure_from_json(text: str) -> Structure:
     return Structure(tuple(domain), exts)
 
 
+def _json_scalar(a) -> str:
+    if a is None or isinstance(a, (str, int, float)):
+        return json.dumps(a)
+    raise SemanticsError(f"domain element {a!r} is not a JSON scalar")
+
+
 def structure_to_json(s: Structure) -> str:
-    preds: dict = {}
-    for (name, arity), ext in sorted(s.extensions.items()):
+    """The structure in the format ``structure_from_json`` reads, laid out
+    as ``json.dumps`` with ``indent=2, sort_keys=True`` lays it out: two
+    spaces per level, one scalar per line, predicate keys sorted as
+    strings, and each predicate's tuples sorted as element lists.  Domain
+    elements must be JSON scalars."""
+    if all(type(a) is str for a in s.domain):
+        # Equal strings encode equally: encode each element once.
+        encoded = dict(zip(s.domain, map(_json_scalar, s.domain)))
+        enc = encoded.__getitem__
+    else:
+        # 1, 1.0 and True, or 0.0 and -0.0, are equal but encode apart.
+        enc = _json_scalar
+    domain = ",\n".join(map("    %s".__mod__, map(enc, s.domain)))
+    preds = {}
+    for (name, arity), ext in s.extensions.items():
         if arity == 0:
-            preds[f"{name}/0"] = () in ext
+            body = "true" if () in ext else "false"
+        elif not ext:
+            body = "[]"
         else:
-            preds[f"{name}/{arity}"] = sorted(list(t) for t in ext)
-    return json.dumps({"domain": list(s.domain), "predicates": preds},
-                      indent=2, sort_keys=True)
+            row = "      [\n" + ",\n".join(["        %s"] * arity) + "\n      ]"
+            flat = map(enc, itertools.chain.from_iterable(sorted(ext)))
+            body = ("[\n" + ",\n".join(map(row.__mod__, zip(*[flat] * arity)))
+                    + "\n    ]")
+        preds[f"{name}/{arity}"] = body
+    lines = [f"    {json.dumps(key)}: {preds[key]}" for key in sorted(preds)]
+    return ("{\n  \"domain\": " + (f"[\n{domain}\n  ]" if domain else "[]")
+            + ",\n  \"predicates\": "
+            + ("{\n" + ",\n".join(lines) + "\n  }" if lines else "{}")
+            + "\n}")
 
 
 def complete_signature(s: Structure, signature: Mapping) -> Structure:

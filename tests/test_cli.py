@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import afkit.cli as C
+import afkit.sat as X
+import afkit.syntax as S
 from corpus import AF3_CORPUS, AF4_CORPUS, nf_text
 
 DATA = Path(__file__).parent / "data"
@@ -172,13 +174,29 @@ def test_repeated_runs_identical(capsys, formula_file):
     assert len(outputs) == 1
 
 
-# sha256 of `af model` stdout for AF3 corpus entries (numbered from 1):
-# two existential conjuncts, 17 atom keys, and a 300-element model.
+# sha256 of `af model` stdout for every SAT entry of the AF3 corpus
+# (numbered from 1): among them two existential conjuncts, 17 atom keys, a
+# 300-element model (12) and the only model whose keys force the joining
+# fill (23: 15 elements, 3,375 facts).  Every value was recorded before
+# model construction moved to element-id arrays.
 MODEL_DIGESTS = {
+    1: "6fe37ae374e59dc06fb0af09d49218e875aacf0b3989cffa2618b4346df31baa",
+    3: "6fe37ae374e59dc06fb0af09d49218e875aacf0b3989cffa2618b4346df31baa",
+    4: "e287786ac47c00f310423e32c9b7fd10af11acd46b447130447dbcec218c62ac",
+    5: "e287786ac47c00f310423e32c9b7fd10af11acd46b447130447dbcec218c62ac",
+    6: "9f3f006d72b8bc1d27951ea827652458c14df360d9ecaf38b74c6a232dd4bb3d",
+    8: "6fe37ae374e59dc06fb0af09d49218e875aacf0b3989cffa2618b4346df31baa",
+    9: "6fe37ae374e59dc06fb0af09d49218e875aacf0b3989cffa2618b4346df31baa",
     11: "0ed711c77756c99a53a85fafb14e3ad3529b5361d00b25a6e7ae1047e3c05fd9",
     12: "f173676fcf4ba97ee3b1f371251ceee39e632a809966d2f5dcc62d1bf9ad94d1",
+    14: "505a1e1c5d90bce00ac975ff0c56907d55d642ef73f93ee64d2704fc67a932be",
+    17: "e287786ac47c00f310423e32c9b7fd10af11acd46b447130447dbcec218c62ac",
     19: "71cebd86509cf0b9e33423a931417c7d0445db21dfbd430263d98bf00a656157",
+    20: "00d1347e4af8313c0e93d69c9508dd416caf5954168af76fdaf25872f947400b",
+    22: "4304c39315589d0659a8a9bf3abf7555f7e1cdf9008a51ecaf1d4e25c0842c1a",
     23: "5863fecf6deaa8639c345a719ae65b8b844700f3e38a572fd015ef89304a4bac",
+    25: "b7c8a74541a386ba6201088c307a8875084afca405377cf17fe5de3280fa9c1a",
+    26: "0efbbf0765cd4613ac6b1b8cbc7cec5624f367c48cf4060044c11199c99a34d6",
     29: "932ca92b45fd2bac5e7816b083847d42153303c4d4b7b38f730382752172c7fd",
 }
 
@@ -189,6 +207,42 @@ def test_model_output_golden(capsys, formula_file, entry):
     code, out, _ = run(capsys, "model", formula_file(nf_text(gammas, delta, 2)))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == MODEL_DIGESTS[entry]
+
+
+@pytest.mark.parametrize("budget", [None, 4 * 15 * 15],
+                         ids=["one-chunk", "chunks-of-four"])
+def test_joining_fill_orientation_golden(capsys, formula_file, monkeypatch,
+                                         budget):
+    """A 15-element model whose joining and witnessing 3-types depend on
+    the direction a triple is written in: the first type satisfying
+    t(x1,x2,x3) | t(x3,x2,x1) makes only t(x3,x2,x1) true.  The joining
+    fill walks the first element in chunks; the output is the same for any
+    chunk size.  Recorded before model construction moved to element-id
+    arrays."""
+    if budget is not None:
+        monkeypatch.setattr(X, "CELL_BUDGET", budget)
+    text = nf_text(["r(x2,x3)"], "(t(x1,x2,x3) | t(x3,x2,x1)) "
+                   "& t(x1,x1,x2) & t(x1,x2,x2)", 2)
+    code, out, _ = run(capsys, "model", formula_file(text))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "9b6369d3d00a1db6c103ef0a7422b3356866d60c665107a4416031f36a8c1a57"
+
+
+def test_af4_entry_9_model():
+    """The largest model the pipeline builds: the joining fill over 90
+    elements.  The digest is over the sorted facts of the renamed model,
+    one ``name(e1,e2,...)`` line each, recorded before model construction
+    moved to element-id arrays."""
+    gammas, delta, _label = AF4_CORPUS[8]
+    res = X.decide(S.parse(nf_text(gammas, delta, 3)), want_model=True)
+    model = X.rename_model(res.model)
+    lines = sorted(f"{name}({','.join(t)})"
+                   for (name, _arity), ext in model.extensions.items()
+                   for t in ext)
+    assert (len(model.domain), len(lines)) == (90, 737100)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "cdbdf2489df8a2ad114f6453189df15508d62a44b4dc5b0554193978076be34a"
 
 
 # Outputs of the two-variable translations on sentences that requantify a

@@ -237,6 +237,44 @@ def test_verify_normal_form_matches_evaluate():
     assert X.verify_normal_form(nf, bad) == M.evaluate(bad, f) == False
 
 
+CHUNKED = 120  # elements: more than one x1 chunk under the default budget
+
+
+def chunk_structure(p_last=False, t_triples=(), s_skip=None):
+    """p holds everywhere but possibly at the last element; s(a, b, c)
+    holds for c the successor of a, except at the pair ``s_skip``."""
+    names = [f"e{i}" for i in range(CHUNKED)]
+    succ = dict(zip(names, names[1:] + names[:1]))
+    return M.make_structure(names, {
+        ("p", 1): [(a,) for a in names[:None if p_last else -1]],
+        ("s", 3): [(a, b, succ[a]) for a in names for b in names
+                   if (a, b) != s_skip],
+        ("t", 3): t_triples})
+
+
+@pytest.mark.parametrize("budget", [None, 7 * CHUNKED ** 2],
+                         ids=["default-budget", "last-chunk-one-element"])
+def test_verify_normal_form_chunk_boundary(monkeypatch, budget):
+    """verify_normal_form walks x1 in chunks; a violation that only the
+    last element shows is still found, in the delta and in a gamma."""
+    if budget is not None:
+        monkeypatch.setattr(X, "CELL_BUDGET", budget)
+    assert X.CELL_BUDGET // CHUNKED ** 2 < CHUNKED
+    last = f"e{CHUNKED - 1}"
+    f = S.parse(nf_text(["s(x1,x2,x3)"], "t(x1,x2,x3) -> p(x1)", 2))
+    nf = X.normalize(f)
+    cases = [
+        # The only delta violation: t(last, e0, e1) without p(last).
+        (chunk_structure(t_triples=[(last, "e0", "e1")]), False),
+        (chunk_structure(p_last=True, t_triples=[(last, "e0", "e1")]), True),
+        # The only missing gamma witness: none for (last, e0).
+        (chunk_structure(s_skip=(last, "e0")), False),
+        (chunk_structure(), True),
+    ]
+    for model, expected in cases:
+        assert X.verify_normal_form(nf, model) == M.evaluate(model, f) == expected
+
+
 def test_af4_corpus_normalizes_in_place():
     for gs, d, _expect in AF4_CORPUS:
         nf = X.normalize(S.parse(nf_text(gs, d, 3)))

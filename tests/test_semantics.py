@@ -27,6 +27,99 @@ def test_structure_json_roundtrip():
     assert again == s
 
 
+def reference_json(s):
+    """``structure_to_json`` as it was written before it laid out the JSON
+    itself: the reference for its bytes."""
+    preds = {}
+    for (name, arity), ext in sorted(s.extensions.items()):
+        if arity == 0:
+            preds[f"{name}/0"] = () in ext
+        else:
+            preds[f"{name}/{arity}"] = sorted(list(t) for t in ext)
+    return json.dumps({"domain": list(s.domain), "predicates": preds},
+                      indent=2, sort_keys=True)
+
+
+JSON_CASES = [
+    M.Structure((), {}),
+    M.Structure((), {("q", 0): frozenset([()]), ("r", 0): frozenset(),
+                     ("p", 1): frozenset()}),
+    M.make_structure([f"e{i}" for i in range(12)],
+                     {("p", 10): [("e10",) * 9 + ("e2",), ("e2",) * 10],
+                      ("p", 2): [("e2", "e10"), ("e10", "e2"), ("e1", "e11")],
+                      ("p", 0): [()]}),
+    M.make_structure([0, -7, 2.5, -0.0, float("inf"), True, None],
+                     {("r", 2): [(0, 2.5), (-7, True), (-0.0, -7)],
+                      ("n", 1): [(None,)]}),
+    M.make_structure(["é", "a\"b", "\\", "\n\t", "\u2028", "\U0001f600", ""],
+                     {("s", 1): [("é",), ("a\"b",), ("",)],
+                      ("ü", 2): [("\\", "\n\t"), ("\u2028", "\U0001f600")]}),
+]
+
+
+@pytest.mark.parametrize("s", JSON_CASES, ids=["empty", "letters", "keys",
+                                                "numbers", "strings"])
+def test_structure_to_json_cases(s):
+    assert M.structure_to_json(s) == reference_json(s)
+    assert M.structure_from_json(M.structure_to_json(s)) == s
+
+
+SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20),
+                   st.floats(), st.text(max_size=3))
+
+
+@st.composite
+def json_structures(draw):
+    """Structures over names like e10 and e2, over arbitrary text, over
+    numbers (1, 1.0 and True are equal but encode apart), or over any mix
+    of JSON scalars, with proposition letters, empty extensions and names
+    whose keys sort apart from (name, arity), such as p/10 before p/2."""
+    kind = draw(st.sampled_from(["names", "text", "numbers", "mixed"]))
+    if kind == "names":
+        domain = [f"e{i}" for i in range(draw(st.integers(0, 12)))]
+    elif kind == "text":
+        domain = draw(st.lists(st.text(max_size=3), max_size=6, unique=True))
+    elif kind == "numbers":
+        domain = draw(st.lists(st.one_of(st.booleans(), st.integers(-3, 12),
+                                         st.floats()), max_size=6))
+    else:
+        domain = draw(st.lists(SCALAR, max_size=5))
+    keys = draw(st.lists(st.tuples(st.sampled_from(["p", "q", "r_1", "é"]),
+                                   st.sampled_from([0, 1, 2, 3, 10])),
+                         max_size=5, unique=True))
+    exts = {}
+    for name, arity in keys:
+        if arity == 0:
+            exts[(name, 0)] = frozenset([()] if draw(st.booleans()) else [])
+        elif not domain:
+            exts[(name, arity)] = frozenset()
+        else:
+            tuples = st.tuples(*[st.sampled_from(domain)] * arity)
+            exts[(name, arity)] = frozenset(
+                draw(st.lists(tuples, max_size=5 if arity < 10 else 2)))
+    return M.Structure(tuple(domain), exts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_structures())
+def test_structure_to_json_matches_json_dumps(s):
+    """Byte for byte the indented, key-sorted ``json.dumps`` output; where
+    that cannot sort a predicate's tuples (None beside a number or a
+    string), both raise TypeError."""
+    try:
+        expected = reference_json(s)
+    except TypeError:
+        with pytest.raises(TypeError):
+            M.structure_to_json(s)
+        return
+    assert M.structure_to_json(s) == expected
+
+
+def test_structure_to_json_rejects_non_scalars():
+    with pytest.raises(M.SemanticsError):
+        M.structure_to_json(M.make_structure([("a", 1)], {}))
+
+
 def test_structure_validation():
     with pytest.raises(M.SemanticsError):
         M.make_structure(["a"], {("r", 2): [("a", "b")]})

@@ -153,3 +153,11 @@ def test_small_pair_placement():
     n, g = W.small_pair_placement()
     assert n == 5
     assert W.check_pair_placement(n, g)
+
+
+def test_stored_pair_placement_is_the_search_result():
+    """The stored table is the smallest placement: the backtracking search
+    finds none on 3 or 4 elements and exactly that table on 5."""
+    assert W._search_pair_placement(3) is None
+    assert W._search_pair_placement(4) is None
+    assert W._search_pair_placement(5) == W.small_pair_placement()[1]
