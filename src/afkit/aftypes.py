@@ -205,10 +205,8 @@ def type_table(parts: Sequence, keys: Iterable, cap: int = DEFAULT_ATOM_CAP):
         if isinstance(p, AdjType):
             for key, val in p.items():
                 clash = clash or fixed.setdefault(key, val) != val
-        elif syntax.is_quantifier_free(p):
-            formulas.append(p)
         else:
-            raise FormulaError("consistency check requires quantifier-free input")
+            formulas.append(p)
     mentioned = {atom_key(a) for f in formulas for a in syntax.atoms(f)}
     axes = list(atoms) + sorted(mentioned - set(atoms) - set(fixed))
     if len(axes) > cap:

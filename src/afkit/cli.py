@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("oracle", cmd_oracle, "brute-force model search")]:
         p = add(name, fn, help=hlp)
         p.add_argument("file")
-        p.add_argument("--json", action="store_true")
+        if name not in ("fo2af", "af2fo2", "oracle"):
+            p.add_argument("--json", action="store_true")
         if name in ("sat", "model"):
             p.add_argument("--pool-cap", type=int,
                            default=SAT.DEFAULT_POOL_CAP)
@@ -260,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         q.set_defaults(fn=fn)
         q.add_argument("machine")
         q.add_argument("input")
-        q.add_argument("--json", action="store_true")
+        if name != "verify":  # verify always prints JSON
+            q.add_argument("--json", action="store_true")
         if name in ("simulate", "verify"):
             q.add_argument("--max-depth", type=int, default=64)
         if name == "encode":

@@ -425,8 +425,8 @@ def _find_certificate(pool: list, need: dict, inv) -> Optional[list]:
 # Model construction
 
 # Cells per chunk when ``verify_normal_form`` walks x1, or the joining fill
-# of ``build_model`` its first element: no array of either grows with the
-# cube of the domain.
+# of ``build_model`` its first element: beyond the predicate tables, no
+# array of either grows with the cube of the domain.
 CELL_BUDGET = 1 << 20
 
 
@@ -508,48 +508,44 @@ def _groups(key):
 
 
 class _Facts:
-    """The facts a construction writes, per predicate as coordinate arrays
-    of element ids with one truth value per row."""
+    """The facts a construction writes, as two dense boolean tables per
+    predicate over element ids, each of shape ``(n,) * arity`` and indexed
+    by truth value: the atoms written false and the atoms written true."""
 
-    def __init__(self):
-        self.coords: dict = {}  # name -> [int32 array (rows, arity), ...]
-        self.values: dict = {}  # name -> [bool array (rows,), ...]
+    def __init__(self, signature: dict, n: int):
+        import numpy as np
+        self.tables = {name: (np.zeros((n,) * arity, dtype=bool),
+                              np.zeros((n,) * arity, dtype=bool))
+                       for name, arity in signature.items()}
 
     def write(self, template: list, *elems) -> None:
         """Write a ``_template`` on every column of ``elems``: position p
         of column m is the element ``elems[p][m]``."""
         import numpy as np
-        rows = np.stack(elems).astype(np.int32, copy=False)
-        m = rows.shape[1]
+        rows = np.stack(elems)
         for name, words, values in template:
-            f, k = words.shape
-            self.coords.setdefault(name, []).append(
-                rows[words].transpose(0, 2, 1).reshape(f * m, k))
-            self.values.setdefault(name, []).append(np.repeat(values, m))
+            for value, table in enumerate(self.tables[name]):
+                lits = words[values == value]
+                # An empty index would set a 0-ary letter.
+                if len(lits):
+                    table[tuple(rows[lits].transpose(1, 0, 2))] = True
 
-    def true_tuples(self, name: str, arity: int, domain: list) -> frozenset:
-        """The true tuples of one predicate, as tuples of domain members;
-        one sort finds any atom written with both values."""
+    def true_tuples(self, name: str, domain: list) -> frozenset:
+        """The true tuples of one predicate, as tuples of domain members,
+        after checking that no atom was written with both values; the
+        predicate's tables are dropped."""
         import numpy as np
-        if name not in self.coords:
-            return frozenset()
-        coords = np.concatenate(self.coords.pop(name))
-        values = np.concatenate(self.values.pop(name))
-        order = np.lexsort((values, *coords.T[::-1]))
-        coords, values = coords[order], values[order]
-        same = (coords[1:] == coords[:-1]).all(axis=1)
-        clash = same & (values[1:] != values[:-1])
-        if clash.any():
-            args = coords[clash.argmax()].tolist()
+        false, true = self.tables.pop(name)
+        clash = np.argwhere(true & false)
+        if len(clash):
             raise RuntimeError(
                 f"internal consistency failure: {name}"
-                f"{tuple(domain[x] for x in args)!r} assigned twice")
-        values[1:] &= ~same
-        rows = coords[values]
-        if not arity:
-            return frozenset([()] * len(rows))
-        return frozenset(zip(*[map(domain.__getitem__, col)
-                               for col in rows.T.tolist()]))
+                f"{tuple(domain[x] for x in clash[0].tolist())!r} "
+                "assigned twice")
+        if not true.ndim:
+            return frozenset([()]) if true else frozenset()
+        return frozenset(zip(*[map(domain.__getitem__, axis.tolist())
+                               for axis in np.nonzero(true)]))
 
 
 def build_model(certificate: Sequence, nf: NormalFormFormula,
@@ -569,12 +565,14 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     unary facts, circular witnessing and the linking fill, per (incoming
     2-type, connector-type) for the witnesses, and per (incoming 2-type,
     outgoing 2-type) for the joining fill, which walks the first element in
-    chunks, so no array has |D|^3 cells.  Each witnessing or joining 3-type
-    is found once per (incoming 2-type, outgoing 2-type, conjunct) as the
-    first true cell of one truth table, ``aftypes.satisfying_types``.  The
-    facts are kept per predicate as coordinate arrays, and one sort per
-    predicate rejects an atom written with both values.  With a ``trace``
-    list, a ``model`` row records the time, the domain and fact counts and
+    chunks of about ``CELL_BUDGET`` cells.  Each witnessing or joining
+    3-type is found once per (incoming 2-type, outgoing 2-type, conjunct)
+    as the first true cell of one truth table,
+    ``aftypes.satisfying_types``.  The facts are kept in ``_Facts``, two
+    dense boolean tables per predicate (written false, written true): an
+    atom in both is rejected, and the joining fill skips each triple whose
+    atom of one covering key is already written.  With a ``trace`` list, a
+    ``model`` row records the time, the domain and fact counts and
     the number of 3-type searches."""
     import numpy as np
     start = time.perf_counter()
@@ -617,7 +615,7 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     h_of = ids // h_stride % H_SIZE
     j_of = ids % j_size
 
-    facts = _Facts()
+    facts = _Facts(S.signature(sent), n)
     pair_facts = [_template(_surjective_facts(t, 2)) for t in two_types]
 
     # Stage 1: unary facts from each element's shared 1-type.
@@ -677,12 +675,6 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
             out.append((theta(zeta, eta, gi), base[eta] + gi * j_size))
         return out
 
-    # The joining fill only ever writes atoms whose word covers all three
-    # positions; without such keys the facts are already complete.
-    joins = any(set(word) == {1, 2, 3} for _, word in keys3)
-    # witness[gi, a, b]: the witness for (a, b) and conjunct gi, or -1.
-    witness = np.full((len(nf.gammas), n, n), -1, dtype=np.int32) \
-        if joins else None
     a, b = np.nonzero(pair >= 0)
     for key, sel in _groups(pair[a, b].astype(np.int64) * len(omegas)
                             + o_of[b]):
@@ -695,34 +687,31 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
                 raise RuntimeError("internal consistency failure: "
                                    "witness placement collided")
             facts.write(template, ga, gb, gc)
-            if joins:
-                witness[gi, ga, gb] = gc
     # Every triple of distinct elements that is not witnessed in either
     # direction gets a joining type, written once in the direction whose
-    # first element is the smaller.
+    # first element is the smaller.  The fill only writes atoms whose word
+    # covers all three positions; without such keys the facts are complete.
+    # With one, its atom on (a, b, c) is written iff (a, b, c) or (c, b, a)
+    # is witnessed: keys3 is closed under reversal, and a covering word
+    # spells a walk on the path a-b-c, which fixes the triple up to reversal.
+    cover = next(((name, word) for name, word in keys3
+                  if set(word) == {1, 2, 3}), None)
     step = max(1, CELL_BUDGET // (n * n))
-    for lo in range(0, n, step) if joins else ():
-        hi = min(n, lo + step)
-        first = np.arange(lo, hi)
-        # todo[a - lo, b, c]: a < c, a != b != c, and not witnessed.
-        todo = np.broadcast_to(first[:, None, None] < ids,
-                               (hi - lo, n, n)).copy()
-        todo[np.arange(hi - lo), first, :] = False
-        todo[:, ids, ids] = False
-        for w in witness:
-            ra, rb = np.nonzero(w[lo:hi] >= 0)
-            todo[ra, rb, w[lo + ra, rb]] = False
-            ca, cb = np.nonzero((w >= lo) & (w < hi))
-            todo[w[ca, cb] - lo, cb, ca] = False
-        ta, tb, tc = np.nonzero(todo)
-        del todo
+    for lo in range(0, n, step) if cover else ():
+        grids = np.ix_(np.arange(lo, min(n, lo + step)), ids, ids)
+        at = tuple(grids[i - 1] for i in cover[1])
+        false, true = facts.tables[cover[0]]
+        # The triples (a, b, c) with a < c, a != b != c, not yet written.
+        ta, tb, tc = np.nonzero((grids[0] < grids[2]) & (grids[0] != grids[1])
+                                & (grids[1] != grids[2])
+                                & ~true[at] & ~false[at])
         ta += lo
         for key, sel in _groups(pair[ta, tb].astype(np.int64)
                                 * len(two_types) + pair[tb, tc]):
             facts.write(theta(*divmod(key, len(two_types)), -1),
                         ta[sel], tb[sel], tc[sel])
 
-    exts = {(name, arity): facts.true_tuples(name, arity, domain)
+    exts = {(name, arity): facts.true_tuples(name, domain)
             for name, arity in S.signature(sent).items()}
     model = M.Structure(tuple(domain), exts)
     if not verify_normal_form(nf, model):

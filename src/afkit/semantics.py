@@ -469,7 +469,6 @@ def extend_layer(layer: LayeredStructure, assignments: Mapping) -> LayeredStruct
     layer must agree with it; the rest become the new facts.  No tuple may
     receive two values.
     """
-    import itertools
     k = layer.bound
     new_bound = k + 1
     covered: dict = {}  # canonical tuple -> source tuple
@@ -526,7 +525,6 @@ def product(b: Structure, index_set: Sequence) -> Structure:
     the first projections."""
     if not index_set:
         raise SemanticsError("index set must be non-empty")
-    import itertools
     domain = tuple((e, i) for e in b.domain for i in index_set)
     exts: dict = {}
     for (name, arity), ext in b.extensions.items():

@@ -127,6 +127,17 @@ def test_fo2af_af2fo2(capsys, formula_file):
     assert code == 0 and "x3" not in out
 
 
+@pytest.mark.parametrize("verb", [["fo2af"], ["af2fo2"], ["oracle"],
+                                  ["atm", "verify"]],
+                         ids=["fo2af", "af2fo2", "oracle", "atm-verify"])
+def test_json_flag_only_where_it_acts(capsys, formula_file, verb):
+    """Verbs whose output has one format reject ``--json``."""
+    args = ([str(DATA / "hop.atm"), "1"] if verb[0] == "atm"
+            else [formula_file("forall u exists v r(u,v)")])
+    code, out, err = run(capsys, *verb, *args, "--json")
+    assert (code, out) == (2, "") and "--json" in err
+
+
 def test_atm_verbs(capsys):
     code, out, _ = run(capsys, "atm", "simulate", str(DATA / "hop.atm"), "1")
     assert code == 0 and out == "accept (2 vertices)\n"

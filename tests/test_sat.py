@@ -2,7 +2,9 @@
 decider, model construction, and the brute-force oracle."""
 
 import itertools
+import re
 
+import numpy as np
 import pytest
 
 import afkit.aftypes as T
@@ -142,13 +144,21 @@ def connector_candidates(nf) -> list:
 # corpus entry with at most 300 candidates shows that.
 WITNESS_PROBE = (["!r(x3,x3) & !r(x1,x2)"], "!r(x2,x1) | !r(x1,x2) | r(x1,x1)",
                  None)
+# A sentence whose pool is wrong when the link table is ignored (3
+# compatible of 64 candidates; 4 without the link check).
+LINK_PROBE = (["p(x2) & p(x1)", "!r(x1,x1)"], "!r(x1,x2) | !r(x2,x3)", True)
+# An UNSAT sentence whose reference pool is not empty (6 compatible of 20
+# candidates, no coherent subset), found by a seeded random search over
+# p/1 and r/2 normal forms.
+UNSAT_PROBE = (["!r(x2,x2) & r(x3,x2) & !r(x2,x1)"],
+               "(!r(x2,x1) | p(x1) | !r(x1,x2)) & (!r(x2,x1) | !p(x1))", False)
 
 
 def test_pool_matches_reference_compatibility():
     """The bitmask test of decide_af3 (start, link and witness tables)
     accepts exactly the candidates that aftypes.compatible accepts."""
     checked = 0
-    for gs, d, _expect in AF3_CORPUS + [WITNESS_PROBE]:
+    for gs, d, _expect in AF3_CORPUS + [WITNESS_PROBE, LINK_PROBE]:
         nf = X.normalize(S.parse(nf_text(gs, d, 2)))
         candidates = connector_candidates(nf)
         if len(candidates) > 300:
@@ -159,15 +169,26 @@ def test_pool_matches_reference_compatibility():
                     if row["stage"] == "pool")
         assert pool == sum(T.compatible(om, nf) for om in candidates)
         checked += 1
-    assert checked == 28
+    assert checked == 29
+
+
+def test_pool_respects_start_masks():
+    """At x1 = x2 the witness conjunct contradicts itself, so no
+    connector-type is compatible; a pool that ignores the start masks
+    (only t/3 atoms make them matter) admits 32,640 and answers SAT."""
+    nf = X.normalize(S.parse(nf_text(["!t(x1,x2,x3) & t(x2,x2,x3)"],
+                                     "!t(x1,x2,x1) & r(x2,x3)", 2)))
+    trace: list = []
+    assert not X.decide_af3(nf, trace=trace).satisfiable
+    assert [row["compatible"] for row in trace if row["stage"] == "pool"] == [0]
 
 
 def test_certificate_matches_reference_coherence():
     """Every certificate is a coherent set of compatible connector-types;
     where the reference pool (compatible candidates) has at most 12
     members, the verdict is SAT iff some non-empty subset is coherent."""
-    exhausted = 0
-    for gs, d, _expect in AF3_CORPUS + [WITNESS_PROBE]:
+    exhausted = unsat_with_pool = 0
+    for gs, d, _expect in AF3_CORPUS + [WITNESS_PROBE, UNSAT_PROBE]:
         nf = X.normalize(S.parse(nf_text(gs, d, 2)))
         res = X.decide_af3(nf)
         if res.satisfiable:
@@ -184,7 +205,9 @@ def test_certificate_matches_reference_coherence():
             for sub in itertools.combinations(pool, r))
         assert res.satisfiable == some_coherent, (gs, d)
         exhausted += 1
-    assert exhausted == 20
+        unsat_with_pool += bool(pool) and not res.satisfiable
+    assert exhausted == 21
+    assert unsat_with_pool >= 1
 
 
 def test_build_model_is_verified():
@@ -194,6 +217,40 @@ def test_build_model_is_verified():
     assert res.satisfiable and res.model is not None
     assert X.verify_normal_form(nf, res.model)
     assert M.evaluate(res.model, f)
+
+
+@pytest.mark.parametrize("writes,clash", [
+    # r(a, b) written true, then false.
+    ([([("r", (0, 1), True)], [0], [1]), ([("r", (0, 1), False)], [0], [1])],
+     "r('a', 'b')"),
+    # One batch of a pair and its reverse: both atoms clash, and the
+    # smaller tuple is named.
+    ([([("r", (0, 1), True), ("r", (1, 0), False)], [2, 1], [1, 2])],
+     "r('b', 'c')"),
+    ([([("q", (), True)], [0]), ([("q", (), False)], [2])], "q()"),
+], ids=["two-writes", "one-batch", "letter"])
+def test_facts_reject_an_atom_written_twice(writes, clash):
+    facts = X._Facts({"r": 2, "q": 0}, 3)
+    for lits, *elems in writes:
+        facts.write(X._template(lits), *map(np.array, elems))
+    name = clash.partition("(")[0]
+    with pytest.raises(RuntimeError, match=re.escape(f"{clash} assigned twice")):
+        facts.true_tuples(name, ["a", "b", "c"])
+
+
+def test_facts_true_tuples():
+    """A template without a literal for a 0-ary letter leaves it unset."""
+    facts = X._Facts({"r": 2, "q": 0, "p": 1}, 3)
+    facts.write(X._template([("r", (0, 1), True), ("r", (1, 0), False),
+                             ("p", (0,), False)]), np.array([0, 2]),
+                np.array([1, 0]))
+    domain = ["a", "b", "c"]
+    assert facts.true_tuples("r", domain) == {("a", "b"), ("c", "a")}
+    assert facts.true_tuples("q", domain) == frozenset()
+    assert facts.true_tuples("p", domain) == frozenset()
+    facts = X._Facts({"q": 0}, 3)
+    facts.write(X._template([("q", (), True)]), np.array([1]))
+    assert facts.true_tuples("q", domain) == {()}
 
 
 def test_rename_model():
