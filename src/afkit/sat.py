@@ -52,9 +52,6 @@ class NormalFormFormula:
         conjuncts.append(body)
         return S.make_and(conjuncts)
 
-    def signature(self) -> dict:
-        return S.signature(self.sentence())
-
 
 @dataclass
 class SatResult:

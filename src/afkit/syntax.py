@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 
@@ -215,6 +215,29 @@ def strip_units(f: Formula) -> Formula:
     return rebuild(f, [strip_units(c) for c in children(f)])
 
 
+def _var_names(f: Formula) -> set:
+    """Every variable name of f: atom arguments and quantified variables."""
+    names = {a for atom in atoms(f) for a in atom.args}
+    names.update(g.var for g in subformulas(f)
+                 if isinstance(g, (Forall, Exists)))
+    return names
+
+
+def _rebind(f: Formula, env: dict, bind) -> Formula:
+    """Rename the variables of f: atom arguments through ``env`` (name ->
+    new name), and each quantifier's variable to ``bind(quantifier, env)``
+    inside its scope."""
+    if isinstance(f, Atom):
+        missing = [a for a in f.args if a not in env]
+        if missing:
+            raise FormulaError(f"unbound variable {missing[0]!r}")
+        return Atom(f.pred, tuple(env[a] for a in f.args))
+    if isinstance(f, (Forall, Exists)):
+        name = bind(f, env)
+        return type(f)(name, _rebind(f.body, {**env, f.var: name}, bind))
+    return rebuild(f, [_rebind(c, env, bind) for c in children(f)])
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -353,6 +376,9 @@ class _Parser:
         idx = var_index(t.text)
         if idx == 0:
             raise ParseError("variable index 0 is not allowed", t.line, t.col)
+        if idx is not None and t.text[1] == "0":
+            raise ParseError(f"variable {t.text!r} has a leading zero",
+                             t.line, t.col)
         if idx is None and t.text not in ("u", "v"):
             raise ParseError(
                 f"{t.text!r} is not a variable (use x1, x2, ... or u, v)",
@@ -443,17 +469,7 @@ class FragmentReport:
     guarded_adjacent: bool
 
     def as_dict(self) -> dict:
-        return {
-            "adjacent": self.adjacent,
-            "min_k": self.min_k,
-            "variable_count": self.variable_count,
-            "fluted": self.fluted,
-            "ordered": self.ordered,
-            "forward": self.forward,
-            "two_variable": self.two_variable,
-            "guarded": self.guarded,
-            "guarded_adjacent": self.guarded_adjacent,
-        }
+        return asdict(self)
 
 
 def index_normal(f: Formula) -> Optional[Formula]:
@@ -462,27 +478,12 @@ def index_normal(f: Formula) -> Optional[Formula]:
     Returns None when the formula cannot be brought to that shape (a free
     variable is not of the form xN)."""
     fv = free_vars(f)
-    env: dict = {}
-    base = 0
-    for name in fv:
-        idx = var_index(name)
-        if idx is None:
-            return None
-        env[name] = name
-        base = max(base, idx)
-
-    def rec(g: Formula, env: dict, level: int) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(env[a] for a in g.args))
-        if isinstance(g, (Forall, Exists)):
-            env2 = dict(env)
-            env2[g.var] = var(level + 1)
-            body = rec(g.body, env2, level + 1)
-            cls = Forall if isinstance(g, Forall) else Exists
-            return cls(var(level + 1), body)
-        return rebuild(g, [rec(c, env, level) for c in children(g)])
-
-    return rec(f, env, base)
+    if any(var_index(name) is None for name in fv):
+        return None
+    # The largest index in scope is the free-variable base plus the depth.
+    return _rebind(f, {name: name for name in fv},
+                   lambda q, env: var(max(map(var_index, env.values()),
+                                          default=0) + 1))
 
 
 def _word_of(atom: Atom) -> Optional[tuple]:
@@ -592,24 +593,18 @@ def classify(f: Formula) -> FragmentReport:
     lo, hi = (1, 0) if normal is None else _af_levels(normal)
     adjacent = lo <= hi
     min_k = lo if adjacent else None
-    names = {a for atom in atoms(normal or f) for a in atom.args}
-    names |= {g.var for g in subformulas(normal or f)
-              if isinstance(g, (Forall, Exists))}
     fluted = normal is not None and _shape_check(normal, "fluted")
     ordered = normal is not None and _shape_check(normal, "ordered")
     forward = normal is not None and _shape_check(normal, "forward")
-    orig_names = {a for atom in atoms(f) for a in atom.args}
-    orig_names |= {g.var for g in subformulas(f)
-                   if isinstance(g, (Forall, Exists))}
     guarded = _guarded(f)
     return FragmentReport(
         adjacent=adjacent,
         min_k=min_k,
-        variable_count=len(names),
+        variable_count=len(_var_names(normal or f)),
         fluted=fluted,
         ordered=ordered,
         forward=forward,
-        two_variable=len(orig_names) <= 2,
+        two_variable=len(_var_names(f)) <= 2,
         guarded=guarded,
         guarded_adjacent=guarded and adjacent,
     )
@@ -618,14 +613,9 @@ def classify(f: Formula) -> FragmentReport:
 # ---------------------------------------------------------------------------
 # Variable transforms on quantifier-free formulas
 
-def _require_qf(f: Formula) -> None:
-    if not is_quantifier_free(f):
-        raise FormulaError("operation requires a quantifier-free formula")
-
-
 def rename_indices(f: Formula, mapping) -> Formula:
-    """Apply an index-to-index mapping to every variable occurrence."""
-    _require_qf(f)
+    """Apply an index-to-index mapping to every variable occurrence of a
+    quantifier-free formula."""
 
     def rec(g: Formula) -> Formula:
         if isinstance(g, Atom):
@@ -636,6 +626,8 @@ def rename_indices(f: Formula, mapping) -> Formula:
                     raise FormulaError(f"variable {a!r} is not index-named")
                 new.append(var(mapping(i)))
             return Atom(g.pred, tuple(new))
+        if isinstance(g, (Forall, Exists)):
+            raise FormulaError("operation requires a quantifier-free formula")
         return rebuild(g, [rec(c) for c in children(g)])
 
     return rec(f)
@@ -682,7 +674,7 @@ def shift_up(eta: Formula, by: int = 1) -> Formula:
 # ---------------------------------------------------------------------------
 # CNF/DNF over literals, with units treated as opaque atoms
 
-_DEFAULT_NODE_CAP = 10 ** 6
+_NODE_CAP = 10 ** 6
 
 
 def _nnf(f: Formula, neg: bool) -> Formula:
@@ -709,7 +701,7 @@ def _nnf(f: Formula, neg: bool) -> Formula:
     raise FormulaError("quantifier encountered outside a unit")
 
 
-def _clauses(f: Formula, mode: str, cap: int) -> list:
+def _clauses(f: Formula, mode: str) -> list:
     """CNF (mode 'cnf') or DNF (mode 'dnf') clause lists of literal lists.
     Literals are atoms, units, or their negations."""
 
@@ -727,7 +719,7 @@ def _clauses(f: Formula, mode: str, cap: int) -> list:
             out = []
             for c in g.args:
                 out.extend(rec(c))
-                if len(out) > cap:
+                if len(out) > _NODE_CAP:
                     raise ResourceError("normal-form conversion exceeded node cap")
             return out
         if isinstance(g, inner):
@@ -735,7 +727,7 @@ def _clauses(f: Formula, mode: str, cap: int) -> list:
             for c in g.args:
                 sub = rec(c)
                 combos = [a + b for a in combos for b in sub]
-                if len(combos) * max(1, len(sub)) > cap:
+                if len(combos) * max(1, len(sub)) > _NODE_CAP:
                     raise ResourceError("normal-form conversion exceeded node cap")
             return combos
         raise FormulaError("unexpected node during clause conversion")
@@ -746,7 +738,7 @@ def _clauses(f: Formula, mode: str, cap: int) -> list:
 # ---------------------------------------------------------------------------
 # Two-variable logic <-> adjacent form
 
-def fo2_to_af(f: Formula, cap: int = _DEFAULT_NODE_CAP) -> Formula:
+def fo2_to_af(f: Formula) -> Formula:
     """Translate a two-variable formula (over variable names u, v or x1, x2)
     into an equivalent adjacent formula over x1, x2, ...
 
@@ -754,8 +746,7 @@ def fo2_to_af(f: Formula, cap: int = _DEFAULT_NODE_CAP) -> Formula:
     rewriting), then assign variable indices top-down so that nested
     quantifiers bind increasing indices.
     """
-    names = {a for atom in atoms(f) for a in atom.args}
-    names |= {g.var for g in subformulas(f) if isinstance(g, (Forall, Exists))}
+    names = _var_names(f)
     if len(names) > 2:
         raise FormulaError("input uses more than two variable names")
     # Accept x1/x2 input by mapping onto u/v.
@@ -767,69 +758,44 @@ def fo2_to_af(f: Formula, cap: int = _DEFAULT_NODE_CAP) -> Formula:
         if name not in translation:
             free_slot = "u" if "u" not in translation.values() else "v"
             translation[name] = free_slot
-    f = _rename_all(f, translation)
+    f = _rebind(f, translation, lambda q, env: translation[q.var])
 
-    sequenced = strip_units(_split_clauses(f, cap))
+    sequenced = strip_units(_split_clauses(f))
     return _assign_indices(sequenced)
 
 
-def _rename_all(f: Formula, table: dict) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(table.get(a, a) for a in f.args))
-    if isinstance(f, (Forall, Exists)):
-        cls = type(f)
-        return cls(table.get(f.var, f.var), _rename_all(f.body, table))
-    return rebuild(f, [_rename_all(c, table) for c in children(f)])
-
-
-def _split_clauses(f: Formula, cap: int) -> Formula:
+def _split_clauses(f: Formula) -> Formula:
     """Rewrite so that each quantifier's CNF (forall) or DNF (exists) clauses
     keep the literals without its variable outside its scope.  No variable
     is then requantified without the other being quantified in between.
     Quantified subformulas end up in units."""
     if isinstance(f, (Forall, Exists)):
-        body = _split_clauses(f.body, cap)
+        body = _split_clauses(f.body)
         y = f.var
         mode, inner, outer = (("cnf", make_or, make_and) if isinstance(f, Forall)
                               else ("dnf", make_and, make_or))
         parts = []
-        for clause in _clauses(body, mode, cap):
+        for clause in _clauses(body, mode):
             with_y = [l for l in clause if y in free_vars(l)]
             rest = [l for l in clause if y not in free_vars(l)]
             if with_y:
                 rest = [Unit(type(f)(y, inner(with_y)))] + rest
             parts.append(inner(rest))
         return outer(parts)
-    return rebuild(f, [_split_clauses(c, cap) for c in children(f)])
+    return rebuild(f, [_split_clauses(c) for c in children(f)])
 
 
 def _assign_indices(f: Formula) -> Formula:
     """Top-down index assignment for a properly sequenced two-variable
     formula: a quantifier binds one more than the current index of the other
     variable."""
-    env: dict = {}
-    for name in sorted(free_vars(f), key=str):
-        env[name] = len(env) + 1
-
-    def rec(g: Formula, env: dict) -> Formula:
-        if isinstance(g, Atom):
-            missing = [a for a in g.args if a not in env]
-            if missing:
-                raise FormulaError(f"unbound variable {missing[0]!r}")
-            return Atom(g.pred, tuple(var(env[a]) for a in g.args))
-        if isinstance(g, (Forall, Exists)):
-            other = [i for n, i in env.items() if n != g.var]
-            idx = (max(other) if other else 0) + 1
-            env2 = dict(env)
-            env2[g.var] = idx
-            cls = type(g)
-            return cls(var(idx), rec(g.body, env2))
-        return rebuild(g, [rec(c, env) for c in children(g)])
-
-    return rec(f, env)
+    start = {name: var(i) for i, name in
+             enumerate(sorted(free_vars(f), key=str), 1)}
+    return _rebind(f, start, lambda q, env: var(max(
+        (var_index(x) for n, x in env.items() if n != q.var), default=0) + 1))
 
 
-def af_to_fo2(f: Formula, cap: int = _DEFAULT_NODE_CAP) -> Formula:
+def af_to_fo2(f: Formula) -> Formula:
     """Translate an adjacent formula over predicates of arity at most 2 into
     an equivalent formula using only the variable names u and v.
 
@@ -845,7 +811,7 @@ def af_to_fo2(f: Formula, cap: int = _DEFAULT_NODE_CAP) -> Formula:
     lo, hi = (1, 0) if normal is None else _af_levels(normal)
     if lo > hi:
         raise FormulaError("input is not an adjacent formula")
-    separated = strip_units(_split_clauses(normal, cap))
+    separated = strip_units(_split_clauses(normal))
     for g in subformulas(separated):
         if len(free_vars(g)) > 2:
             raise FormulaError("separation left a subformula with 3+ free variables")
@@ -862,23 +828,14 @@ def _drop_vacuous(f: Formula) -> Formula:
 
 
 def _two_name_rename(f: Formula) -> Formula:
-    def rec(g: Formula, env: dict) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(env[a] for a in g.args))
-        if isinstance(g, (Forall, Exists)):
-            taken = {env[n] for n in free_vars(g.body) if n != g.var and n in env}
-            slot = "u" if "u" not in taken else "v"
-            if slot in taken:
-                raise FormulaError("two names do not suffice for this formula")
-            env2 = dict(env)
-            env2[g.var] = slot
-            cls = type(g)
-            return cls(slot, rec(g.body, env2))
-        return rebuild(g, [rec(c, env) for c in children(g)])
+    fv = sorted(free_vars(f), key=str)
+    if len(fv) > 2:
+        raise FormulaError("more than two free variables")
 
-    env = {}
-    for name in sorted(free_vars(f), key=str):
-        if len(env) >= 2:
-            raise FormulaError("more than two free variables")
-        env[name] = "u" if not env else "v"
-    return rec(f, env)
+    def bind(q: Formula, env: dict) -> str:
+        taken = {env[n] for n in free_vars(q.body) if n != q.var and n in env}
+        if taken >= {"u", "v"}:
+            raise FormulaError("two names do not suffice for this formula")
+        return "u" if "u" not in taken else "v"
+
+    return _rebind(f, dict(zip(fv, ("u", "v"))), bind)

@@ -175,6 +175,12 @@ def test_bad_inputs_exit_two(capsys, formula_file, tmp_path):
     assert code == 2
 
 
+def test_classify_rejects_zero_padded_index(capsys, formula_file):
+    code, out, err = run(capsys, "classify", formula_file("r(x1,x01)"))
+    assert (code, out) == (2, "")
+    assert err == "error: 1:6: variable 'x01' has a leading zero\n"
+
+
 def test_repeated_runs_identical(capsys, formula_file):
     f = formula_file("forall x1 exists x2 (r(x1,x2) & !r(x2,x1))")
     outputs = set()

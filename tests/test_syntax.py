@@ -1,7 +1,9 @@
 """Parsing, printing, fragment classification, and the variable-transform
 operators."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -36,6 +38,14 @@ def test_parser_errors():
         S.parse("p(x1) & p(x1,x2)")  # arity conflict
     with pytest.raises(S.ParseError):
         S.parse("p(x0)")
+
+
+def test_parser_rejects_zero_padded_index():
+    # x01 and x1 would be one index but two names to the evaluator.
+    with pytest.raises(S.ParseError):
+        S.parse("r(x1,x01)")
+    with pytest.raises(S.ParseError):
+        S.parse("forall x01 p(x01)")
 
 
 def test_basic_queries():
@@ -140,3 +150,65 @@ def test_bridge_between_walks_and_substitution():
             for tup in itertools.product(s.domain, repeat=2):
                 walked = W.apply_walk(tup, g)
                 assert M.evaluate(s, sub, tup) == M.evaluate(s, chi, walked)
+
+
+# Random formulas over x1-x4 or u/v: bodies of depth at most 4 (a leaf
+# counts one), half of them closed by one quantifier per free name.
+RANDOM_PREDICATES = (("q", 0), ("p", 1), ("r", 2), ("t", 3))
+RANDOM_NAME_POOLS = (("x1", "x2", "x3", "x4"), ("x1", "x2"), ("u", "v"),
+                     ("u", "x2"))
+
+
+def random_formula(rng, names, depth=3):
+    if depth == 0 or rng.random() < 0.25:
+        pred, arity = rng.choice(RANDOM_PREDICATES)
+        return S.Atom(pred, tuple(rng.choice(names) for _ in range(arity)))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return S.Not(random_formula(rng, names, depth - 1))
+    if kind >= 4:
+        cls = S.Forall if kind == 4 else S.Exists
+        return cls(rng.choice(names), random_formula(rng, names, depth - 1))
+    left = random_formula(rng, names, depth - 1)
+    right = random_formula(rng, names, depth - 1)
+    if kind == 1:
+        return S.And((left, right))
+    if kind == 2:
+        return S.Or((left, right))
+    return S.Implies(left, right)
+
+
+def random_formulas(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        f = random_formula(rng, rng.choice(RANDOM_NAME_POOLS))
+        if rng.random() < 0.5:
+            for name in sorted(S.free_vars(f), reverse=True):
+                f = rng.choice((S.Forall, S.Exists))(name, f)
+        yield f
+
+
+def renaming_outcome(f):
+    """One line per formula: the rendered result (or error type and message)
+    of index_normal, classify, fo2_to_af and af_to_fo2."""
+    parts = [S.render(f)]
+    for fn in (S.index_normal, S.classify, S.fo2_to_af, S.af_to_fo2):
+        try:
+            out = fn(f)
+        except (S.FormulaError, S.ResourceError) as exc:
+            parts.append(f"{type(exc).__name__}: {exc}")
+            continue
+        parts.append(repr(out) if out is None or fn is S.classify
+                     else S.render(out))
+    return " ;; ".join(parts)
+
+
+# sha256 of the outcome lines of seed 10, recorded before the four
+# bound-variable renamings of `syntax` became one walk.
+RENAMING_DIGEST = (
+    "80be7f891ba6efba241472ea6585e13e4d6a90942bedf8a99c57072508789088")
+
+
+def test_renaming_outcomes_golden():
+    lines = "\n".join(renaming_outcome(f) for f in random_formulas(10, 1000))
+    assert hashlib.sha256(lines.encode()).hexdigest() == RENAMING_DIGEST
