@@ -10,8 +10,9 @@ atoms, never the full space of adjacent atoms.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import syntax
 from .syntax import Atom, Formula, FormulaError, ResourceError
@@ -40,19 +41,18 @@ def key_atom(key: AtomKey) -> Atom:
 def relevant_atoms(f: Formula, k: int) -> frozenset:
     """All atom keys (p, g . h) where h is the argument word of an atom of f
     and g ranges over adjacent words of length max(h) into [1, k].
-    Proposition letters are always included."""
+    Proposition letters are always included.  Each distinct atom is
+    expanded once, and the walks of each length are listed once."""
     out = set()
-    for a in syntax.atoms(f):
-        name = a.pred
-        h = tuple(syntax.var_index(n) for n in a.args)
-        if any(i is None for i in h):
+    walks: dict = {}  # length j -> W.walks(j, k)
+    for name, args in {(a.pred, a.args) for a in syntax.atoms(f)}:
+        h = tuple(syntax.var_index(n) for n in args)
+        if None in h:
             raise FormulaError(f"atom {name} has non-index variables")
         j = max(h, default=0)
-        if j == 0:
-            out.add((name, ()))
-            continue
-        for g in W.walks(j, k):
-            out.add((name, W.compose(g, h)))
+        if j not in walks:
+            walks[j] = tuple(W.walks(j, k))
+        out.update((name, W.compose(g, h)) for g in walks[j])
     return frozenset(out)
 
 
@@ -119,7 +119,8 @@ def enumerate_types(keys: Iterable, cap: int = DEFAULT_ATOM_CAP) -> Iterator[Adj
     atoms = sort_keys(keys)
     n = len(atoms)
     if n > cap:
-        raise ResourceError(f"{n} atoms exceeds the cap of {cap}")
+        raise ResourceError(
+            f"enumerate_types: {n} atoms exceeds the cap of {cap}")
     for i in range(1 << n):
         yield type_at(atoms, i)
 
@@ -154,14 +155,14 @@ def type_of_tuple(s, t: tuple, keys: Iterable) -> AdjType:
 
 def qf_array(f: Formula, leaf, cache: dict):
     """Evaluate a quantifier-free formula as a numpy boolean array: each atom
-    becomes ``leaf(atom key)``, computed once per key into ``cache``, and
+    becomes ``leaf(atom key)``, computed once per atom into ``cache``, and
     the connectives combine those arrays by broadcasting."""
     import numpy as np
     if isinstance(f, Atom):
-        key = atom_key(f)
-        if key not in cache:
-            cache[key] = leaf(key)
-        return cache[key]
+        atom = (f.pred, f.args)
+        if atom not in cache:
+            cache[atom] = leaf(atom_key(f))
+        return cache[atom]
     if isinstance(f, syntax.Unit):
         return qf_array(f.body, leaf, cache)
     if isinstance(f, syntax.Not):
@@ -183,23 +184,130 @@ def qf_array(f: Formula, leaf, cache: dict):
     raise FormulaError(f"not quantifier-free: {syntax.render(f)}")
 
 
-def type_table(parts: Sequence, keys: Iterable, cap: int = DEFAULT_ATOM_CAP):
+def truth_tables(formulas: Sequence, keys: Iterable, rows=None,
+                 walks: Optional[Sequence] = None, extras: Sequence = ((),),
+                 cap: int = DEFAULT_ATOM_CAP, budget: int = 0,
+                 stage: str = "truth table") -> Iterator[tuple]:
+    """Truth tables over the sorted ``keys`` with a leading row axis: for
+    each formula list e of ``extras``, a boolean array of shape
+    (rows, 2^len(keys)) whose cell (r, i) is true iff row r, the i-th type
+    of ``enumerate_types(keys)``, ``formulas`` and e are consistent.  Each
+    atom key is an independent variable, which is sound because distinct
+    index words name distinct tuples once the variables are instantiated
+    with distinct elements.
+
+    The rows are either:
+
+    - ``rows=(row_keys, bits)``: row r is the type over ``row_keys`` whose
+      values are ``bits[r]``, an (R, len(row_keys)) boolean array.  A row
+      key reads as its column of ``bits``; where it is an output key too,
+      the output cell must agree with the row.
+    - ``walks``: row r reads each atom (p, w) as (p, compose(walks[r], w)),
+      the instance of the formulas under that walk, so no instance is
+      rebuilt.  The rows are conjoined: the result has one row, the table
+      of all instances together.
+
+    The array has the row axis, one axis per output key, in sorted order
+    with False first, and one per other atom key read that no row fixes;
+    those trail and are projected away.  More than ``cap`` keys and
+    trailing axes raise ``ResourceError`` naming ``stage``.  The formulas
+    are walked once per chunk of rows, a chunk having at most ``budget``
+    cells (and at least one row), and the array they build is ANDed with
+    each extra before the trailing axes are projected.  Yields the list of
+    tables, one per extra, per chunk; with ``walks``, once at the end."""
+    import numpy as np
+    keys = sort_keys(keys)
+    row_keys, bits = rows or ((), None)
+    column = {key: j for j, key in enumerate(row_keys)}
+    n_rows = len(bits) if walks is None else len(walks)
+    read = set(map(atom_key, {a for f in itertools.chain(formulas, *extras)
+                              for a in syntax.atoms(f)}))
+    if walks is not None:
+        read = {(name, W.compose(g, word)) for name, word in read
+                for g in walks}
+    trailing = tuple(sorted(read - set(keys) - set(column)))
+    axes = keys + trailing
+    if len(axes) > cap:
+        raise ResourceError(
+            f"{stage}: {len(axes)} atom keys exceeds the cap of {cap}")
+    ndim = 1 + len(axes)
+    position = {key: p for p, key in enumerate(axes, 1)}
+    trail = tuple(range(1 + len(keys), ndim))
+    # A key fixed by the row is read from it, so its axis has size 1 until
+    # the table is written at the row's value.
+    kept = (slice(None),) + tuple(0 if key in column else slice(None)
+                                  for key in keys)
+
+    def axis(key):
+        dims = [1] * ndim
+        dims[position[key]] = 2
+        return np.array([False, True]).reshape(dims)
+
+    conjoined = [np.ones((1,) * ndim, dtype=bool)] * len(extras)
+    step = max(1, budget >> len(axes))
+    for lo in range(0, n_rows, step):
+        hi = min(n_rows, lo + step)
+
+        def leaf(key):
+            if walks is None:
+                if key in column:
+                    return bits[lo:hi, column[key]].reshape(
+                        (-1,) + (1,) * len(axes))
+                return axis(key)
+            images = [(key[0], W.compose(g, key[1])) for g in walks[lo:hi]]
+            cells = np.bool_(False)
+            for image in set(images):
+                on = np.array([i == image for i in images])
+                cells = cells | (on.reshape((-1,) + (1,) * len(axes))
+                                 & axis(image))
+            return cells
+
+        at = (np.arange(hi - lo),) + tuple(
+            bits[lo:hi, column[key]].astype(np.intp) if key in column
+            else slice(None) for key in keys)
+        cache: dict = {}
+        base = np.ones((1,) * ndim, dtype=bool)
+        for f in formulas:
+            base = base & qf_array(f, leaf, cache)
+        tables = []
+        for e, extra in enumerate(extras):
+            full = base
+            for f in extra:
+                full = full & qf_array(f, leaf, cache)
+            if walks is not None:
+                conjoined[e] = conjoined[e] & full.all(axis=0, keepdims=True)
+                continue
+            table = np.zeros((hi - lo,) + (2,) * len(keys), dtype=bool)
+            table[at] = full.any(axis=trail)[kept]
+            tables.append(table.reshape(hi - lo, -1))
+        if walks is None:
+            yield tables
+    if walks is not None:
+        yield [np.broadcast_to(c.any(axis=trail), (1,) + (2,) * len(keys))
+               .reshape(1, -1) for c in conjoined]
+
+
+def walk_table(formulas: Sequence, walks: Iterable, keys: Iterable,
+               cap: int = DEFAULT_ATOM_CAP, budget: int = 0,
+               stage: str = "walk table"):
+    """The flat truth table over ``keys`` of every instance of ``formulas``
+    under every walk together: ``truth_tables`` with walk rows."""
+    (table,), = truth_tables(formulas, keys, walks=tuple(walks), cap=cap,
+                             budget=budget, stage=stage)
+    return table[0]
+
+
+def type_table(parts: Sequence, keys: Iterable, cap: int = DEFAULT_ATOM_CAP,
+               stage: str = "type table"):
     """The truth table of the conjunction ``parts`` of quantifier-free
     formulas and/or types, projected onto ``keys``: a flat numpy boolean
-    array whose cell i is true iff the i-th type of ``enumerate_types(keys)``
-    is consistent with ``parts``.  Each atom key is an independent variable,
-    which is sound because distinct index words name distinct tuples once
-    the variables are instantiated with distinct elements.
-
-    The table has one axis per key, in sorted order with False first, and
-    one more per other atom of the formulas that no type fixes; those trail
-    and are projected away.  Keys a type fixes are constants, so only the
-    open axes are evaluated.  More than ``cap`` axes raise
-    ``ResourceError``."""
+    array whose cell i is true iff the i-th type of
+    ``enumerate_types(keys)`` is consistent with ``parts``.  This is the
+    one-row case of ``truth_tables``: the row is the union of the types,
+    and types that disagree leave no row and an all-false table."""
     import numpy as np
-    atoms = sort_keys(keys)
     fixed: dict = {}
-    clash = False  # two of the types disagree
+    clash = False
     formulas = []
     for p in parts:
         if isinstance(p, AdjType):
@@ -207,46 +315,28 @@ def type_table(parts: Sequence, keys: Iterable, cap: int = DEFAULT_ATOM_CAP):
                 clash = clash or fixed.setdefault(key, val) != val
         else:
             formulas.append(p)
-    mentioned = {atom_key(a) for f in formulas for a in syntax.atoms(f)}
-    axes = list(atoms) + sorted(mentioned - set(atoms) - set(fixed))
-    if len(axes) > cap:
-        raise ResourceError(f"{len(axes)} atoms exceeds the cap of {cap}")
-    if clash:
-        return np.zeros(1 << len(atoms), dtype=bool)
-    position = {key: i for i, key in enumerate(axes)}
-
-    def leaf(key):
-        if key in fixed:
-            return np.bool_(fixed[key])
-        shape = [1] * len(axes)
-        shape[position[key]] = 2
-        return np.array([False, True]).reshape(shape)
-
-    table = np.ones((1,) * len(axes), dtype=bool)
-    cache: dict = {}
-    for f in formulas:
-        table = table & qf_array(f, leaf, cache)
-    table = table.any(axis=tuple(range(len(atoms), len(axes))))
-    # A fixed key's axis has size 1 in ``table``; only its fixed value's
-    # half of the result can be true.
-    out = np.zeros((2,) * len(atoms), dtype=bool)
-    out[tuple(int(fixed[k]) if k in fixed else slice(None) for k in atoms)] = \
-        table[tuple(0 if k in fixed else slice(None) for k in atoms)]
-    return out.ravel()
+    row_keys = sort_keys(fixed)
+    bits = np.array([[fixed[k] for k in row_keys]] * (not clash),
+                    dtype=bool).reshape(int(not clash), len(row_keys))
+    for table, in truth_tables(formulas, keys, rows=(row_keys, bits),
+                               cap=cap, stage=stage):
+        return table[0]
+    return np.zeros(1 << len(sort_keys(keys)), dtype=bool)
 
 
 def consistent(parts: Sequence, cap: int = DEFAULT_ATOM_CAP) -> bool:
     """Propositional satisfiability of a conjunction of quantifier-free
     formulas and/or types (see ``type_table``)."""
-    return bool(type_table(parts, (), cap).any())
+    return bool(type_table(parts, (), cap, stage="consistent").any())
 
 
 def satisfying_types(parts: Sequence, keys: Iterable,
-                     cap: int = DEFAULT_ATOM_CAP) -> Iterator[AdjType]:
+                     cap: int = DEFAULT_ATOM_CAP,
+                     stage: str = "satisfying_types") -> Iterator[AdjType]:
     """Types over ``keys`` consistent with the given conjunction, in
     enumeration order."""
     atoms = sort_keys(keys)
-    for i in type_table(parts, atoms, cap).nonzero()[0].tolist():
+    for i in type_table(parts, atoms, cap, stage).nonzero()[0].tolist():
         yield type_at(atoms, i)
 
 
@@ -256,7 +346,8 @@ def project_circ(chi: Sequence, keys_ell: Iterable,
     l-types eta over keys_ell with chi /\\ eta+ consistent."""
     atoms = sort_keys(keys_ell)
     disjuncts = [AdjType(atoms, eta.bits).formula()
-                 for eta in satisfying_types(chi, shift_keys(atoms), cap)]
+                 for eta in satisfying_types(chi, shift_keys(atoms), cap,
+                                             "project_circ")]
     return syntax.make_or(disjuncts or [syntax.FALSE])
 
 

@@ -18,6 +18,13 @@ from .aftypes import AdjType, ConnectorType, consistent
 from .syntax import Formula, FormulaError, ResourceError
 
 
+# Cells per chunk when a decider stage walks the rows of its truth tables,
+# ``verify_normal_form`` walks x1, or the joining fill of ``build_model`` its
+# first element: beyond the predicate tables, no array of these grows with
+# the number of rows or the cube of the domain.
+CELL_BUDGET = 1 << 20
+
+
 @dataclass(frozen=True)
 class NormalFormFormula:
     """A sentence of the shape: for each i, all x1..xl have an x_{l+1}
@@ -207,21 +214,24 @@ def reduce_step(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
         raise FormulaError("reduction requires at least 4 variables")
     closure = adjacent_closure(nf)
     sent = nf.sentence()
-    keys_ell = T.relevant_atoms(sent, ell)
+    keys_ell = T.sort_keys(T.relevant_atoms(sent, ell))
     if len(keys_ell) > atom_cap:
         raise ResourceError(
-            f"{len(keys_ell)} relevant atoms at width {ell} exceeds cap {atom_cap}")
+            f"reduce_step: {len(keys_ell)} relevant atoms at width {ell} "
+            f"exceeds cap {atom_cap}")
     delta_hat = S.hat(nf.delta, ell + 1)
     # An l-tuple realized in any model satisfies every universal instance,
     # so types failing those constraints need no guard conjuncts.
-    universal = [S.substitute_walk(nf.delta, g) for g in W.walks(ell + 1, ell)]
+    universal = T.walk_table([nf.delta] if prune else [],
+                             W.walks(ell + 1, ell), keys_ell, atom_cap,
+                             CELL_BUDGET, "reduce_step type filter")
     counter = counter or itertools.count(1)
     fresh = list(nf.fresh)
     gammas = list(closure.gammas)
     deltas = [closure.delta]
     new_ell = ell - 1
-    for zeta in T.satisfying_types(universal if prune else [], keys_ell,
-                                   atom_cap):
+    for code in universal.nonzero()[0].tolist():
+        zeta = T.type_at(keys_ell, code)
         name = f"_pz{next(counter)}"
         fresh.append((name, zeta.render()))
         head_tail = S.Atom(name, tuple(S.var(i) for i in range(2, ell + 1)))
@@ -256,36 +266,34 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     keys2 = T.sort_keys(T.relevant_atoms(sent, 2))
     if len(keys2) > atom_cap:
         raise ResourceError(
-            f"{len(keys2)} relevant atoms exceeds cap {atom_cap}")
-    delta = nf.delta
-    delta_hat = S.hat(delta, 3)
-    stall_instances = [S.substitute_walk(delta, f) for f in W.walks(3, 2)]
+            f"decide_af3: {len(keys2)} relevant atoms at width 2 exceeds cap "
+            f"{atom_cap}")
 
     # Admissible 2-types: those satisfying every stalled universal instance.
-    codes = T.type_table(stall_instances, keys2, atom_cap).nonzero()[0]
+    codes = T.walk_table([nf.delta], W.walks(3, 2), keys2, atom_cap,
+                         CELL_BUDGET, "decide_af3 type filter").nonzero()[0]
     admissible = [T.type_at(keys2, i) for i in codes.tolist()]
     index = {t: i for i, t in enumerate(admissible)}
     inv = [index.get(t.inverse(2)) for t in admissible]
     trace.append({"stage": "types", "count": 1 << len(keys2),
                   "admissible": len(admissible)})
 
-    def mask(table) -> int:
-        """The admissible types whose cells in ``table`` are true, as a
-        bitmask over ``admissible``."""
-        return int.from_bytes(
-            np.packbits(table[codes], bitorder="little").tobytes(), "little")
+    def masks(table) -> list:
+        """Per row of ``table``, the admissible types whose cells are true,
+        as a bitmask over ``admissible``."""
+        packed = np.packbits(table[:, codes], axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
-    start_masks = [
-        mask(T.type_table([S.substitute_walk(gamma, (1, 1, 2))], keys2,
-                          atom_cap))
-        for gamma in nf.gammas]
-    # link[zi] holds the eta with zeta eta+ delta_hat consistent, wit[gi][zi]
-    # those that also satisfy gamma_gi: one table over the shifted keys each.
-    up = T.shift_keys(keys2)
-    link = [mask(T.type_table([z, delta_hat], up, atom_cap))
-            for z in admissible]
-    wit = [[mask(T.type_table([z, gamma, delta_hat], up, atom_cap))
-            for z in admissible] for gamma in nf.gammas]
+    starts, = T.truth_tables(
+        [], keys2, walks=((1, 1, 2),), extras=[[g] for g in nf.gammas],
+        cap=atom_cap, stage="decide_af3 start tables")
+    start_masks = [masks(t)[0] for t in starts]
+    link: list = []
+    wit: list = [[] for _ in nf.gammas]
+    for links, *wits in _link_tables(nf, keys2, codes, atom_cap):
+        link += masks(links)
+        for rows, table in zip(wit, wits):
+            rows += masks(table)
 
     # Group admissible types by their 1-type (as bitmasks over
     # ``admissible``); the compatible connector-types of a group are pi
@@ -304,8 +312,10 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
         base = 1 << pi2
         rest = groups[pi] ^ base
         if (1 << rest.bit_count()) > budget:
+            reached = pool_cap - budget + (1 << rest.bit_count())
             raise ResourceError(
-                f"connector-type pool would exceed the cap of {pool_cap}")
+                f"decide_af3 pool: {reached} candidate connector-types "
+                f"exceeds the cap of {pool_cap}")
         budget -= 1 << rest.bit_count()
         sub = 0
         while True:
@@ -348,6 +358,22 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
         result.model = build_model(certificate, nf, atom_cap=atom_cap,
                                    trace=trace)
     return result
+
+
+def _link_tables(nf: NormalFormFormula, keys2: tuple, codes,
+                 atom_cap: int = T.DEFAULT_ATOM_CAP):
+    """The link and witness tables of ``decide_af3``, over the 2-types
+    zeta with the given codes as rows and the shifted keys as output axes:
+    row zi of the link table holds the eta with zeta eta+ delta_hat
+    consistent, and row zi of the witness table of gamma_gi those that also
+    satisfy gamma_gi.  One pass of ``aftypes.truth_tables``: delta_hat is
+    walked once per chunk of rows, and each gamma once more."""
+    import numpy as np
+    bits = (codes[:, None] >> np.arange(len(keys2) - 1, -1, -1)) & 1 == 1
+    return T.truth_tables(
+        [S.hat(nf.delta, 3)], T.shift_keys(keys2), rows=(keys2, bits),
+        extras=[(), *([g] for g in nf.gammas)], cap=atom_cap,
+        budget=CELL_BUDGET, stage="decide_af3 link/witness tables")
 
 
 def _bits(mask: int):
@@ -420,12 +446,6 @@ def _find_certificate(pool: list, need: dict, inv) -> Optional[list]:
 
 # ---------------------------------------------------------------------------
 # Model construction
-
-# Cells per chunk when ``verify_normal_form`` walks x1, or the joining fill
-# of ``build_model`` its first element: beyond the predicate tables, no
-# array of either grows with the cube of the domain.
-CELL_BUDGET = 1 << 20
-
 
 def verify_normal_form(nf: NormalFormFormula, model: M.Structure) -> bool:
     """Direct check that a structure satisfies a normal-form sentence;
@@ -652,7 +672,7 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
             extra = [nf.gammas[gi]] if gi >= 0 else []
             found = next(T.satisfying_types(
                 [two_types[zeta], shifted[eta], *extra, delta_hat],
-                keys3, atom_cap), None)
+                keys3, atom_cap, "build_model 3-type search"), None)
             if found is None:
                 raise RuntimeError("internal consistency failure: no "
                                    f"{'witnessing' if gi >= 0 else 'joining'}"
@@ -748,7 +768,8 @@ def decide(f: Formula, atom_cap: int = T.DEFAULT_ATOM_CAP,
                   "gammas": len(nf.gammas)})
     if nf.variables > max_variables:
         raise ResourceError(
-            f"{nf.variables} variables exceeds the pipeline cap of {max_variables}")
+            f"decide: {nf.variables} variables exceeds the pipeline cap of "
+            f"{max_variables}")
     counter = itertools.count(1)
     while nf.ell > 2:
         nf = reduce_step(nf, atom_cap, counter)

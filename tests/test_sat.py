@@ -3,9 +3,12 @@ decider, model construction, and the brute-force oracle."""
 
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afkit.aftypes as T
 import afkit.sat as X
@@ -337,3 +340,132 @@ def test_af4_corpus_normalizes_in_place():
         nf = X.normalize(S.parse(nf_text(gs, d, 3)))
         assert nf.ell == 3
         assert not nf.fresh
+
+
+# ---------------------------------------------------------------------------
+# The batched truth tables of the decider stages against per-type references
+
+
+def reference_row(z, up, parts):
+    """type_table([z, *parts], up) with the literals of z on the keys that
+    are also output keys given as formulas, so that no key is fixed both by
+    the row and by the output axes and the reference never needs the
+    builder's row/output agreement."""
+    shared = set(up)
+    kept = [(k, b) for k, b in z.items() if k not in shared]
+    row = T.AdjType(tuple(k for k, _ in kept), tuple(b for _, b in kept))
+    lits = [T.key_atom(k) if b else S.Not(T.key_atom(k))
+            for k, b in z.items() if k in shared]
+    return T.type_table([row, *lits, *parts], up)
+
+
+def assert_stage_tables(nf, rows=None):
+    """The walk tables of reduce_step (l >= 3) or decide_af3 (l = 2) equal
+    type_table of the substitute_walk instances; the link and witness rows
+    of decide_af3 equal the per-type reference row by row (all rows, or
+    those with the given indices)."""
+    ell = nf.ell
+    keys = T.sort_keys(T.relevant_atoms(nf.sentence(), ell))
+    walks = list(W.walks(ell + 1, ell))
+    stall = T.type_table([S.substitute_walk(nf.delta, g) for g in walks], keys)
+    assert (T.walk_table([nf.delta], walks, keys, budget=X.CELL_BUDGET)
+            == stall).all()
+    if ell > 2:
+        return
+    starts, = T.truth_tables([], keys, walks=((1, 1, 2),),
+                             extras=[[g] for g in nf.gammas],
+                             budget=X.CELL_BUDGET)
+    for gamma, table in zip(nf.gammas, starts):
+        ref = T.type_table([S.substitute_walk(gamma, (1, 1, 2))], keys)
+        assert (table[0] == ref).all()
+    codes = stall.nonzero()[0]
+    chunks = list(X._link_tables(nf, keys, codes))
+    if not chunks:
+        assert not len(codes)
+        return
+    tables = [np.concatenate(t) for t in zip(*chunks)]
+    assert all(len(t) == len(codes) for t in tables)
+    up = T.shift_keys(keys)
+    delta_hat = S.hat(nf.delta, 3)
+    for r in range(len(codes)) if rows is None else rows:
+        z = T.type_at(keys, int(codes[r]))
+        for table, extra in zip(tables, [[], *([g] for g in nf.gammas)]):
+            ref = reference_row(z, up, [delta_hat, *extra])
+            assert (table[r] == ref).all()
+
+
+def stage_sentences():
+    """The AF3 corpus, and AF4 entries 1-6 and 8 before and after their
+    reduction step."""
+    out = [X.normalize(S.parse(nf_text(gs, d, 2))) for gs, d, _ in AF3_CORPUS]
+    for i in (1, 2, 3, 4, 5, 6, 8):
+        gs, d, _expect = AF4_CORPUS[i - 1]
+        nf = X.normalize(S.parse(nf_text(gs, d, 3)))
+        out += [nf, X.reduce_step(nf)]
+    return out
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["default", "row-chunks"])
+def test_stage_tables_match_per_type_reference(monkeypatch, budget):
+    """With the default cell budget, and with one row per chunk."""
+    if budget is not None:
+        monkeypatch.setattr(X, "CELL_BUDGET", budget)
+    for nf in stage_sentences():
+        assert_stage_tables(nf)
+
+
+def nf_atoms(preds: str, ell: int) -> list:
+    """Adjacent atoms over x1..x_{l+1} of the given predicates (p/1, r/2,
+    t/3 and the letter q); t only for l = 2, where its words that hold both
+    x1 and x3 are no key of width 2 and so become trailing axes."""
+    n = ell + 1
+    out = ["q"] if "q" in preds else []
+    for i in range(1, n + 1):
+        if "p" in preds:
+            out.append(f"p(x{i})")
+        if "r" in preds:
+            out.append(f"r(x{i},x{i})")
+            if i < n:
+                out += [f"r(x{i},x{i + 1})", f"r(x{i + 1},x{i})"]
+    if "t" in preds and ell == 2:
+        out += ["t(x1,x2,x3)", "t(x3,x2,x1)", "t(x1,x2,x1)", "t(x2,x2,x3)"]
+    return [S.parse(a) for a in out]
+
+
+def qf_over(atoms):
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda kids: st.one_of(
+            kids.map(S.Not),
+            st.lists(kids, min_size=1, max_size=3).map(
+                lambda xs: S.And(tuple(xs))),
+            st.lists(kids, min_size=1, max_size=3).map(
+                lambda xs: S.Or(tuple(xs))),
+            st.builds(S.Implies, kids, kids)),
+        max_leaves=6)
+
+
+@st.composite
+def normal_forms(draw):
+    ell = draw(st.sampled_from([2, 2, 3]))
+    preds = draw(st.sampled_from(["prq", "pr", "tq", "ptq"] if ell == 2
+                                 else ["prq", "pr"]))
+    formulas = qf_over(nf_atoms(preds, ell))
+    gammas = draw(st.lists(formulas, min_size=1, max_size=2))
+    return X.NormalFormFormula(ell, tuple(gammas), draw(formulas))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nf=normal_forms(), budget=st.sampled_from([1, X.CELL_BUDGET]),
+       data=st.data())
+def test_stage_tables_match_reference_on_random_sentences(nf, budget, data):
+    """Random normal forms over p/1, r/2, t/3 and q, with one row per chunk
+    or the default budget; at most four link and witness rows per sentence
+    are checked against the reference."""
+    keys = T.sort_keys(T.relevant_atoms(nf.sentence(), nf.ell))
+    admissible = int(T.walk_table([nf.delta], W.walks(nf.ell + 1, nf.ell),
+                                  keys).sum())
+    rows = data.draw(st.lists(st.integers(0, admissible - 1), max_size=4,
+                              unique=True) if admissible else st.just([]))
+    with mock.patch.object(X, "CELL_BUDGET", budget):
+        assert_stage_tables(nf, rows)

@@ -211,3 +211,10 @@ def test_truth_table_examples():
     with pytest.raises(S.ResourceError):
         T.consistent([S.parse("p(x1) & p(x2) & q")], cap=2)
     assert T.consistent([t, S.parse("p(x1) & p(x2) & q")], cap=3)
+    # Walk rows are conjoined before atoms outside the keys are projected:
+    # each instance alone is consistent, the two together are not.
+    f = S.parse("r(x1,x2) & !r(x2,x1)")
+    for walk in ((1, 2), (2, 1)):
+        assert T.walk_table([f], [walk], ()).all()
+    assert not T.walk_table([f], [(1, 2), (2, 1)], ()).any()
+    assert not T.walk_table([f], [(1, 2), (2, 1)], (), budget=1 << 10).any()
