@@ -42,8 +42,7 @@ def _read_structure(path: str) -> M.Structure:
         return M.structure_from_json(fh.read())
 
 
-def _emit_model(model: M.Structure, path: Optional[str]) -> None:
-    payload = M.structure_to_json(SAT.rename_model(model))
+def _emit_model(payload: str, path: Optional[str]) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
@@ -121,8 +120,8 @@ def _run_sat(args, want_model: bool) -> int:
         if args.trace:
             for row in result.trace:
                 print(f"  {row}")
-    if result.model is not None:
-        _emit_model(result.model, args.emit_model)
+    if result.id_model is not None:
+        _emit_model(result.id_model.to_json(), args.emit_model)
     return 0 if result.satisfiable else 1
 
 
@@ -158,7 +157,7 @@ def cmd_oracle(args) -> int:
     if model is None:
         print(f"no model found up to domain size {args.max_domain}")
         return 1
-    _emit_model(model, args.emit_model)
+    _emit_model(M.structure_to_json(SAT.rename_model(model)), args.emit_model)
     return 0
 
 

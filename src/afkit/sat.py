@@ -5,6 +5,7 @@ three-variable case with model construction, and a brute-force oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from .syntax import Formula, FormulaError, ResourceError
 
 
 # Cells per chunk when a decider stage walks the rows of its truth tables,
-# ``verify_normal_form`` walks x1, or the joining fill of ``build_model`` its
+# ``tables_satisfy`` walks x1, or the joining fill of ``build_model`` its
 # first element: beyond the predicate tables, no array of these grows with
 # the number of rows or the cube of the domain.
 CELL_BUDGET = 1 << 20
@@ -60,16 +61,55 @@ class NormalFormFormula:
         return S.make_and(conjuncts)
 
 
+# eq=False: the tables are numpy arrays, which compare cell by cell.
+@dataclass(frozen=True, eq=False)
+class IdModel:
+    """A model over the element ids 0 .. n-1, n = len(domain): element i
+    is ``domain[i]``, and predicate ``name`` holds exactly at the true
+    cells of ``tables[name]``, a boolean array of shape (n,) * arity."""
+
+    domain: tuple
+    tables: dict
+
+    @property
+    def extensions(self) -> dict:
+        """(name, arity) -> the true tuples as an id array of shape
+        (count, arity), rows in ascending order."""
+        import numpy as np
+        return {(name, np.ndim(t)): np.argwhere(t)
+                for name, t in self.tables.items()}
+
+    def named(self) -> M.Structure:
+        """The model as a ``semantics.Structure`` over its domain."""
+        get = self.domain.__getitem__
+        return M.Structure(self.domain, {
+            (name, arity): (frozenset(zip(*[map(get, col)
+                                            for col in rows.T.tolist()]))
+                            if arity else frozenset([()] * len(rows)))
+            for (name, arity), rows in self.extensions.items()})
+
+    def to_json(self) -> str:
+        """``structure_to_json(rename_model(self.named()))``, written
+        straight from the tables."""
+        return M.ids_to_json([f"e{i}" for i in range(len(self.domain))],
+                             self.extensions)
+
+
 @dataclass
 class SatResult:
     satisfiable: bool
     certificate: Optional[tuple] = None  # tuple of ConnectorType
-    model: Optional[M.Structure] = None
+    id_model: Optional[IdModel] = None
     trace: list = field(default_factory=list)
 
     @property
     def verdict(self) -> str:
         return "SAT" if self.satisfiable else "UNSAT"
+
+    @functools.cached_property
+    def model(self) -> Optional[M.Structure]:
+        """The model as a ``semantics.Structure``, named on first access."""
+        return self.id_model.named() if self.id_model is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +395,8 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     trace.append({"stage": "certificate", "size": len(certificate)})
     result = SatResult(True, certificate=certificate, trace=trace)
     if want_model:
-        result.model = build_model(certificate, nf, atom_cap=atom_cap,
-                                   trace=trace)
+        result.id_model = build_model(certificate, nf, atom_cap=atom_cap,
+                                      trace=trace)
     return result
 
 
@@ -448,13 +488,9 @@ def _find_certificate(pool: list, need: dict, inv) -> Optional[list]:
 # Model construction
 
 def verify_normal_form(nf: NormalFormFormula, model: M.Structure) -> bool:
-    """Direct check that a structure satisfies a normal-form sentence;
-    equivalent to evaluate on the rebuilt sentence, but vectorized.
-
-    Each predicate becomes a dense boolean table, filled by one fancy-index
-    assignment.  The gammas and delta are evaluated over x1 in chunks, so
-    no array has more than about ``CELL_BUDGET`` cells beyond the tables
-    (or one x1 slice, if that is larger)."""
+    """Direct check that a structure satisfies a normal-form sentence:
+    each predicate becomes a dense boolean table, filled by one
+    fancy-index assignment, for ``tables_satisfy``."""
     import numpy as np
     n = len(model.domain)
     index = {a: i for i, a in enumerate(model.domain)}
@@ -469,11 +505,23 @@ def verify_normal_form(nf: NormalFormFormula, model: M.Structure) -> bool:
                            dtype=np.intp, count=len(ext) * arity)
         table[tuple(flat.reshape(-1, arity).T)] = True
         tables[name] = table
+    return tables_satisfy(nf, tables, n)
+
+
+def tables_satisfy(nf: NormalFormFormula, tables: dict, n: int) -> bool:
+    """Whether the structure over the elements 0 .. n-1 in which predicate
+    ``name`` holds at the true cells of ``tables[name]`` (a boolean array
+    of shape (n,) * arity, or a bool for a letter) satisfies a normal-form
+    sentence; equivalent to evaluate on the rebuilt sentence, but
+    vectorized.  The gammas and delta are evaluated over x1 in chunks, so
+    no array has more than about ``CELL_BUDGET`` cells beyond the tables
+    (or one x1 slice, if that is larger).  Each is reduced only over the
+    axes it reads: broadcasting to the others would repeat its values."""
+    import numpy as np
     step = max(1, CELL_BUDGET // max(n, 1) ** nf.ell)
     rest = [np.arange(n)] * nf.ell
-    for lo in range(0, max(n, 1), step):
+    for lo in range(0, n, step):  # no chunk, so true, on an empty domain
         grids = np.ix_(np.arange(lo, min(n, lo + step)), *rest)
-        shape = tuple(g.size for g in grids)
 
         def leaf(key):
             name, word = key
@@ -483,10 +531,10 @@ def verify_normal_form(nf: NormalFormFormula, model: M.Structure) -> bool:
 
         cache: dict = {}
         for gamma in nf.gammas:
-            arr = np.broadcast_to(T.qf_array(gamma, leaf, cache), shape)
+            arr = np.atleast_1d(T.qf_array(gamma, leaf, cache))
             if not arr.any(axis=-1).all():
                 return False
-        if not np.broadcast_to(T.qf_array(nf.delta, leaf, cache), shape).all():
+        if not T.qf_array(nf.delta, leaf, cache).all():
             return False
     return True
 
@@ -547,29 +595,27 @@ class _Facts:
                 if len(lits):
                     table[tuple(rows[lits].transpose(1, 0, 2))] = True
 
-    def true_tuples(self, name: str, domain: list) -> frozenset:
-        """The true tuples of one predicate, as tuples of domain members,
-        after checking that no atom was written with both values; the
-        predicate's tables are dropped."""
+    def true_tables(self, domain: list) -> dict:
+        """The table of the atoms written true, per predicate, after
+        checking that no atom was written with both values; a clash is
+        named by its elements in ``domain``."""
         import numpy as np
-        false, true = self.tables.pop(name)
-        clash = np.argwhere(true & false)
-        if len(clash):
-            raise RuntimeError(
-                f"internal consistency failure: {name}"
-                f"{tuple(domain[x] for x in clash[0].tolist())!r} "
-                "assigned twice")
-        if not true.ndim:
-            return frozenset([()]) if true else frozenset()
-        return frozenset(zip(*[map(domain.__getitem__, axis.tolist())
-                               for axis in np.nonzero(true)]))
+        for name, (false, true) in self.tables.items():
+            clash = np.argwhere(true & false)
+            if len(clash):
+                raise RuntimeError(
+                    f"internal consistency failure: {name}"
+                    f"{tuple(domain[x] for x in clash[0].tolist())!r} "
+                    "assigned twice")
+        return {name: true for name, (_, true) in self.tables.items()}
 
 
 def build_model(certificate: Sequence, nf: NormalFormFormula,
                 atom_cap: int = T.DEFAULT_ATOM_CAP,
-                trace: Optional[list] = None) -> M.Structure:
-    """Three-stage construction of a finite model from a certificate,
-    always verified against the sentence before being returned.
+                trace: Optional[list] = None) -> IdModel:
+    """Three-stage construction of a finite model from a certificate, as
+    an ``IdModel`` whose tables ``tables_satisfy`` has checked against the
+    sentence.
 
     Elements are (connector-type, 2-type, phase, conjunct, placement)
     index tuples; the placement indices and their fresh-choice function
@@ -588,7 +634,8 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     ``aftypes.satisfying_types``.  The facts are kept in ``_Facts``, two
     dense boolean tables per predicate (written false, written true): an
     atom in both is rejected, and the joining fill skips each triple whose
-    atom of one covering key is already written.  With a ``trace`` list, a
+    atom of one covering key is already written; the model keeps the
+    written-true tables.  With a ``trace`` list, a
     ``model`` row records the time, the domain and fact counts and
     the number of 3-type searches."""
     import numpy as np
@@ -728,17 +775,16 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
             facts.write(theta(*divmod(key, len(two_types)), -1),
                         ta[sel], tb[sel], tc[sel])
 
-    exts = {(name, arity): facts.true_tuples(name, domain)
-            for name, arity in S.signature(sent).items()}
-    model = M.Structure(tuple(domain), exts)
-    if not verify_normal_form(nf, model):
+    model = IdModel(tuple(domain), facts.true_tables(domain))
+    if not tables_satisfy(nf, model.tables, n):
         raise RuntimeError(
             "internal consistency failure: constructed model fails the sentence")
     if trace is not None:
         trace.append({"stage": "model",
                       "millis": round((time.perf_counter() - start) * 1000.0, 3),
                       "elems": n,
-                      "facts": sum(len(ext) for ext in exts.values()),
+                      "facts": sum(int(np.count_nonzero(t))
+                                   for t in model.tables.values()),
                       "theta_searches": len(theta_facts)})
     return model
 

@@ -94,12 +94,43 @@ def _json_scalar(a) -> str:
     raise SemanticsError(f"domain element {a!r} is not a JSON scalar")
 
 
+def _layout(domain: list, preds: Mapping) -> str:
+    """A structure's JSON text as ``json.dumps`` with ``indent=2,
+    sort_keys=True`` lays it out: two spaces per level, one scalar per
+    line, predicate keys sorted as strings.  ``domain`` holds the encoded
+    elements, and ``preds`` maps each predicate (name, arity) to its truth
+    value if arity is 0, and otherwise to the list of the encoded elements
+    of its tuples, tuple after tuple in the order they are written."""
+    body = {}
+    for (name, arity), value in preds.items():
+        if arity == 0:
+            text = "true" if value else "false"
+        elif not value:
+            text = "[]"
+        else:
+            # Each element is followed by the separator within a tuple or
+            # the one between tuples, interleaved by slice assignment.
+            seps = ([",\n        "] * (arity - 1)
+                    + ["\n      ],\n      [\n        "]
+                    ) * (len(value) // arity)
+            seps[-1] = "\n      ]\n    ]"
+            parts = [None] * (2 * len(value))
+            parts[::2] = value
+            parts[1::2] = seps
+            text = "[\n      [\n        " + "".join(parts)
+        body[f"{name}/{arity}"] = text
+    lines = [f"    {json.dumps(key)}: {body[key]}" for key in sorted(body)]
+    elems = ",\n".join(map("    %s".__mod__, domain))
+    return ("{\n  \"domain\": " + (f"[\n{elems}\n  ]" if domain else "[]")
+            + ",\n  \"predicates\": "
+            + ("{\n" + ",\n".join(lines) + "\n  }" if lines else "{}")
+            + "\n}")
+
+
 def structure_to_json(s: Structure) -> str:
     """The structure in the format ``structure_from_json`` reads, laid out
-    as ``json.dumps`` with ``indent=2, sort_keys=True`` lays it out: two
-    spaces per level, one scalar per line, predicate keys sorted as
-    strings, and each predicate's tuples sorted as element lists.  Domain
-    elements must be JSON scalars."""
+    by ``_layout``, with each predicate's tuples sorted as element lists.
+    Domain elements must be JSON scalars."""
     if all(type(a) is str for a in s.domain):
         # Equal strings encode equally: encode each element once.
         encoded = dict(zip(s.domain, map(_json_scalar, s.domain)))
@@ -107,24 +138,36 @@ def structure_to_json(s: Structure) -> str:
     else:
         # 1, 1.0 and True, or 0.0 and -0.0, are equal but encode apart.
         enc = _json_scalar
-    domain = ",\n".join(map("    %s".__mod__, map(enc, s.domain)))
+    domain = list(map(enc, s.domain))
+    return _layout(domain, {
+        (name, arity): (() in ext if arity == 0 else
+                        list(map(enc, itertools.chain.from_iterable(
+                            sorted(ext)))))
+        for (name, arity), ext in s.extensions.items()})
+
+
+def ids_to_json(names: Sequence[str], extensions: Mapping) -> str:
+    """``structure_to_json`` of the structure over the distinct strings
+    ``names`` in which each predicate (name, arity) holds of the rows of
+    ``extensions[(name, arity)]``, an integer array of shape (count, arity)
+    whose entry i stands for ``names[i]``.  The rows are ordered by one
+    ``np.lexsort`` over the ranks of their elements among the sorted
+    names, which is the order of the tuples of names (e10 before e2)."""
+    import numpy as np
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = \
+        np.arange(len(names))
+    enc = list(map(json.dumps, names))
     preds = {}
-    for (name, arity), ext in s.extensions.items():
+    for (name, arity), rows in extensions.items():
         if arity == 0:
-            body = "true" if () in ext else "false"
-        elif not ext:
-            body = "[]"
-        else:
-            row = "      [\n" + ",\n".join(["        %s"] * arity) + "\n      ]"
-            flat = map(enc, itertools.chain.from_iterable(sorted(ext)))
-            body = ("[\n" + ",\n".join(map(row.__mod__, zip(*[flat] * arity)))
-                    + "\n    ]")
-        preds[f"{name}/{arity}"] = body
-    lines = [f"    {json.dumps(key)}: {preds[key]}" for key in sorted(preds)]
-    return ("{\n  \"domain\": " + (f"[\n{domain}\n  ]" if domain else "[]")
-            + ",\n  \"predicates\": "
-            + ("{\n" + ",\n".join(lines) + "\n  }" if lines else "{}")
-            + "\n}")
+            preds[(name, 0)] = len(rows) > 0
+            continue
+        # lexsort's last key is its first: the first column goes last.
+        order = np.lexsort(rank[rows].T[::-1])
+        preds[(name, arity)] = list(map(enc.__getitem__,
+                                        rows[order].ravel().tolist()))
+    return _layout(enc, preds)
 
 
 def complete_signature(s: Structure, signature: Mapping) -> Structure:

@@ -308,6 +308,20 @@ def test_normalize_json_bytes(capsys, formula_file):
         '}\n')
 
 
+@pytest.mark.parametrize("verb", ["model", "sat"])
+@pytest.mark.parametrize("entry", [12, 20])
+def test_emit_model_file_bytes(capsys, formula_file, tmp_path, verb, entry):
+    """``--emit-model OUT`` writes exactly what ``af model`` prints after
+    its verdict line: the JSON and a newline."""
+    gammas, delta, _label = AF3_CORPUS[entry - 1]
+    f = formula_file(nf_text(gammas, delta, 2))
+    code, printed, _ = run(capsys, "model", f)
+    assert code == 0
+    out = tmp_path / "model.json"
+    assert run(capsys, verb, f, "--emit-model", str(out))[:2] == (0, "SAT\n")
+    assert out.read_bytes() == printed.partition("\n")[2].encode()
+
+
 def test_oracle_output_bytes(capsys, formula_file):
     # AF3 corpus entry 12: two witness conjuncts, a 2-element model.
     gammas, delta, _label = AF3_CORPUS[11]

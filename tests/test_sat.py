@@ -238,22 +238,24 @@ def test_facts_reject_an_atom_written_twice(writes, clash):
         facts.write(X._template(lits), *map(np.array, elems))
     name = clash.partition("(")[0]
     with pytest.raises(RuntimeError, match=re.escape(f"{clash} assigned twice")):
-        facts.true_tuples(name, ["a", "b", "c"])
+        facts.true_tables(["a", "b", "c"])
 
 
-def test_facts_true_tuples():
+def test_facts_true_tables():
     """A template without a literal for a 0-ary letter leaves it unset."""
     facts = X._Facts({"r": 2, "q": 0, "p": 1}, 3)
     facts.write(X._template([("r", (0, 1), True), ("r", (1, 0), False),
                              ("p", (0,), False)]), np.array([0, 2]),
                 np.array([1, 0]))
-    domain = ["a", "b", "c"]
-    assert facts.true_tuples("r", domain) == {("a", "b"), ("c", "a")}
-    assert facts.true_tuples("q", domain) == frozenset()
-    assert facts.true_tuples("p", domain) == frozenset()
+    domain = ("a", "b", "c")
+    exts = X.IdModel(domain, facts.true_tables(domain)).named().extensions
+    assert exts[("r", 2)] == {("a", "b"), ("c", "a")}
+    assert exts[("q", 0)] == frozenset()
+    assert exts[("p", 1)] == frozenset()
     facts = X._Facts({"q": 0}, 3)
     facts.write(X._template([("q", (), True)]), np.array([1]))
-    assert facts.true_tuples("q", domain) == {()}
+    exts = X.IdModel(domain, facts.true_tables(domain)).named().extensions
+    assert exts[("q", 0)] == {()}
 
 
 def test_rename_model():
@@ -261,6 +263,74 @@ def test_rename_model():
     renamed = X.rename_model(s)
     assert renamed.domain == ("e0", "e1")
     assert renamed.holds("r", ("e0", "e1"))
+
+
+@st.composite
+def id_extensions(draw):
+    """A domain of n = 0 to 25 elements (e10 sorts before e2), permuted
+    so that naming must go by position, and per predicate distinct id rows
+    in any order: letters true and false, empty predicates, and keys whose
+    string order is not their (name, arity) order, such as p/10 before
+    p/2."""
+    n = draw(st.integers(0, 25))
+    keys = draw(st.lists(st.tuples(st.sampled_from(["p", "q"]),
+                                   st.sampled_from([0, 1, 2, 3, 10])),
+                         max_size=5, unique=True))
+    exts = {}
+    for name, arity in keys:
+        if arity == 0:
+            rows = [()] if draw(st.booleans()) else []
+        elif n == 0:
+            rows = []
+        else:
+            rows = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * arity),
+                                 unique=True,
+                                 max_size=40 if arity < 10 else 3))
+        exts[(name, arity)] = np.array(rows, dtype=np.intp).reshape(
+            len(rows), arity)
+    return tuple(draw(st.permutations(range(n)))), exts
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_extensions())
+def test_id_emitter_matches_structure_to_json(drawn):
+    """The JSON written from id rows is the JSON of the named structure
+    after ``rename_model``, byte for byte."""
+    domain, exts = drawn
+    named = M.Structure(domain, {
+        key: frozenset(tuple(domain[i] for i in row) for row in rows.tolist())
+        for key, rows in exts.items()})
+    names = [f"e{i}" for i in range(len(domain))]
+    assert M.ids_to_json(names, exts) == \
+        M.structure_to_json(X.rename_model(named))
+
+
+@pytest.mark.parametrize("entry", [6, 14, 20, 26])
+def test_table_check_rejects_a_flipped_fact(entry):
+    """Flipping one fact of a built model over the elements 0 and 1, each
+    in turn: the table check, ``verify_normal_form`` on the named model and
+    ``evaluate`` on the sentence agree, and some flip breaks the delta.
+    The entries read r/2 (6), p/1 and r/2 (14), a letter (20) and t/3
+    (26)."""
+    gammas, delta, _label = AF3_CORPUS[entry - 1]
+    f = S.parse(nf_text(gammas, delta, 2))
+    nf = X.normalize(f)
+    model = X.decide_af3(nf, want_model=True).id_model
+    assert model.to_json() == M.structure_to_json(
+        X.rename_model(model.named()))
+    n = len(model.domain)
+    rejected = 0
+    for name, table in model.tables.items():
+        for cell in itertools.product((0, 1), repeat=table.ndim):
+            flipped = table.copy()
+            flipped[cell] = not flipped[cell]
+            tables = {**model.tables, name: flipped}
+            named = X.IdModel(model.domain, tables).named()
+            ok = X.tables_satisfy(nf, tables, n)
+            assert ok == X.verify_normal_form(nf, named) == \
+                M.evaluate(named, f), (name, cell)
+            rejected += not ok
+    assert rejected
 
 
 def test_decide_full_pipeline_four_variables():
