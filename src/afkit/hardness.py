@@ -574,45 +574,43 @@ def encode_atm(machine: ATM, w: str, literal_succ: bool = False) -> Encoding:
 def embed_and_expand(tree: ConfigTree, n: int) -> M.Structure:
     """The structure embedding an accepting configuration tree (two fresh
     elements per vertex) expanded with the bit predicate and the saturated
-    guard extensions, materialized only on the named tuples."""
+    guard extensions, materialized only on the named tuples.  Every tuple
+    is made from the domain at its predicate's arity, so the structure is
+    built without ``Structure``'s check."""
     verts = list(tree.vertices())
     cells = 1 << n
     for v in verts:
         if len(v.tape) != cells:
             raise MachineError(
                 f"tape length {len(v.tape)} differs from 2^{n}")
-    ids = {id(v): i for i, v in enumerate(verts)}
-    zero = {id(v): f"0_v{ids[id(v)]}" for v in verts}
-    one = {id(v): f"1_v{ids[id(v)]}" for v in verts}
-    domain = tuple(itertools.chain.from_iterable(
-        (zero[id(v)], one[id(v)]) for v in verts))
+    elems = {id(v): (f"0_v{i}", f"1_v{i}") for i, v in enumerate(verts)}
+    domain = tuple(itertools.chain.from_iterable(elems.values()))
+    # The words over {0_v, 1_v} of length n, in bin_word's order (LSB first).
+    words = {key: [c[::-1] for c in itertools.product(pair, repeat=n)]
+             for key, pair in elems.items()}
 
-    ext: dict = {}
+    ext: dict = {}  # name -> set of tuples, names in order of first use
 
-    def add(name: str, args: tuple) -> None:
-        ext.setdefault(name, set()).add(args)
+    def add(name: str, tuples) -> None:
+        ext.setdefault(name, set()).update(tuples)
 
-    root = tree.root
     for v in verts:
-        a, b = zero[id(v)], one[id(v)]
-        add("V", (a, b))
-        add(_pred_q(v.state), (a, b))
-        add(O_PRED, (b,))
-        for i, sym in enumerate(v.tape):
-            add(_pred_s(sym), bin_word(a, b, i, n))
-        add("H", bin_word(a, b, v.head, n))
-        for m in (n, 2 * n):
-            name = G_N if m == n else G_2N
-            for c in itertools.product((a, b), repeat=m):
-                add(name, (a, b) + c)
-    add("R", (zero[id(root)], one[id(root)]))
+        pair = elems[id(v)]
+        add("V", [pair])
+        add(_pred_q(v.state), [pair])
+        add(O_PRED, [pair[1:]])
+        vw = words[id(v)]
+        for sym in dict.fromkeys(v.tape):
+            add(_pred_s(sym), [w for w, s in zip(vw, v.tape) if s == sym])
+        add("H", [vw[v.head]])
+        add(G_N, [pair + w for w in vw])
+        add(G_2N, [pair + c for c in itertools.product(pair, repeat=2 * n)])
+    add("R", [elems[id(tree.root)]])
     for u, side, _tau, v in tree.edges():
-        a, b = zero[id(u)], one[id(u)]
-        a2, b2 = zero[id(v)], one[id(v)]
-        add(f"E_{side}", (b, a, a2, b2))
-        for c in itertools.product((a, b), repeat=n):
-            for c2 in itertools.product((a2, b2), repeat=n):
-                add(F_N, c + (b, a, a2, b2) + c2)
+        (a, b), (a2, b2) = elems[id(u)], elems[id(v)]
+        mid = (b, a, a2, b2)
+        add(f"E_{side}", [mid])
+        add(F_N, [c + mid + c2 for c in words[id(u)] for c2 in words[id(v)]])
 
     arities = {"V": 2, "R": 2, "E_l": 4, "E_r": 4, "H": n, O_PRED: 1,
                G_N: n + 2, G_2N: 2 * n + 2, F_N: 2 * n + 4}
@@ -620,7 +618,7 @@ def embed_and_expand(tree: ConfigTree, n: int) -> M.Structure:
     for name, tuples in ext.items():
         arity = arities.get(name, len(next(iter(tuples))))
         extensions[(name, arity)] = frozenset(tuples)
-    return M.Structure(domain, extensions)
+    return M.Structure._unchecked(domain, extensions)
 
 
 def verify_encoding(machine: ATM, w: str, max_depth: int = 64) -> dict:
@@ -640,12 +638,30 @@ def verify_encoding(machine: ATM, w: str, max_depth: int = 64) -> dict:
 
 def check_conjuncts(encoding: Encoding, structure: M.Structure,
                     **meta) -> dict:
-    """Model-check each named conjunct, timing each; all must pass."""
+    """Model-check each named conjunct, timing each; all must pass.
+
+    A named conjunct's parts are its top-level conjuncts (the formula itself
+    when it is not an ``And``).  Each distinct part is evaluated once, at its
+    first occurrence, and its verdict reused wherever it occurs again: the
+    structure does not change, so a closed sentence has one truth value on
+    it.  The parts are tested in order and the first false one stops the
+    conjunct, as ``evaluate`` on the whole ``And`` does, so the verdicts and
+    the first error raised are the same.  A conjunct's ``millis`` covers
+    only the parts it evaluates itself."""
     structure = M.complete_signature(structure, encoding.signature)
+    verdicts: dict = {}
+
+    def holds(part: Formula) -> bool:
+        ok = verdicts.get(part)
+        if ok is None:
+            ok = verdicts[part] = M.evaluate(structure, part)
+        return ok
+
     rows = []
     for name, formula in encoding.conjuncts:
+        parts = formula.args if isinstance(formula, S.And) else (formula,)
         t0 = time.perf_counter()
-        ok = M.evaluate(structure, formula)
+        ok = all(map(holds, parts))
         millis = round((time.perf_counter() - t0) * 1000.0, 3)
         rows.append({"conjunct": name, "verdict": "pass" if ok else "fail",
                      "millis": millis})

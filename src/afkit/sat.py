@@ -80,9 +80,10 @@ class IdModel:
                 for name, t in self.tables.items()}
 
     def named(self) -> M.Structure:
-        """The model as a ``semantics.Structure`` over its domain."""
+        """The model as a ``semantics.Structure`` over its domain; its
+        tuples are read off the tables, so they need no check."""
         get = self.domain.__getitem__
-        return M.Structure(self.domain, {
+        return M.Structure._unchecked(self.domain, {
             (name, arity): (frozenset(zip(*[map(get, col)
                                             for col in rows.T.tolist()]))
                             if arity else frozenset([()] * len(rows)))

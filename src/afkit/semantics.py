@@ -45,6 +45,16 @@ class Structure:
                     raise SemanticsError(
                         f"tuple {t!r} in {name}/{arity} leaves the domain")
 
+    @classmethod
+    def _unchecked(cls, domain: tuple, extensions: Mapping) -> "Structure":
+        """A structure built without the check of ``__post_init__``, for
+        callers whose tuples are made from the domain with the right
+        arity, so that the check cannot fail."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "domain", domain)
+        object.__setattr__(s, "extensions", extensions)
+        return s
+
     def holds(self, name: str, args: tuple) -> bool:
         key = (name, len(args))
         if key not in self.extensions:
@@ -181,10 +191,7 @@ def complete_signature(s: Structure, signature: Mapping) -> Structure:
                if (name, arity) not in s.extensions}
     if not missing:
         return s
-    completed = object.__new__(Structure)
-    object.__setattr__(completed, "domain", s.domain)
-    object.__setattr__(completed, "extensions", {**s.extensions, **missing})
-    return completed
+    return Structure._unchecked(s.domain, {**s.extensions, **missing})
 
 
 # ---------------------------------------------------------------------------

@@ -218,3 +218,69 @@ def test_fault_injection_fails_exactly_the_saturation_conjunct(
                                M.Structure(structure.domain, exts))
     assert {r["conjunct"] for r in report["conjuncts"]
             if r["verdict"] == "fail"} == failing
+
+
+# ---------------------------------------------------------------------------
+# Each distinct conjunct checked once
+
+def _parts(enc):
+    """The top-level conjuncts of every named conjunct, in order."""
+    return [p for _, f in enc.conjuncts
+            for p in (f.args if isinstance(f, S.And) else (f,))]
+
+
+def _check_counting_evaluate(monkeypatch, enc, structure):
+    """check_conjuncts' report next to the formulas it passed to evaluate,
+    and each named conjunct's verdict from evaluate on the whole of it."""
+    full = M.complete_signature(structure, enc.signature)
+    whole = {name: "pass" if M.evaluate(full, f) else "fail"
+             for name, f in enc.conjuncts}
+    calls = []
+    evaluate = M.evaluate
+
+    def counting(s, f, *args):
+        calls.append(f)
+        return evaluate(s, f, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(M, "evaluate", counting)
+        report = H.check_conjuncts(enc, structure)
+    assert {r["conjunct"]: r["verdict"] for r in report["conjuncts"]} == whole
+    assert [r["conjunct"] for r in report["conjuncts"]] == \
+        [name for name, _ in enc.conjuncts]
+    return report, calls
+
+
+@pytest.mark.parametrize("word", ["1", "11", "111"])
+@pytest.mark.parametrize("machine", ["hop", "fork", "dodge"])
+def test_check_conjuncts_evaluates_each_distinct_part_once(
+        monkeypatch, machine, word):
+    status, tree = H.simulate_atm(_machine(machine), word)
+    assert status == "accept"
+    enc = H.encode_atm(_machine(machine), word)
+    report, calls = _check_counting_evaluate(
+        monkeypatch, enc, H.embed_and_expand(tree, len(word)))
+    assert report["pass"]
+    parts = _parts(enc)
+    # Both saturation sentences of F_n share their closure conjuncts.
+    assert len(set(parts)) < len(parts)
+    assert len(calls) == len(set(calls)) and set(calls) == set(parts)
+
+
+@pytest.mark.parametrize("machine", ["hop", "fork"])
+@pytest.mark.parametrize("pred, pick", [(H.F_N, min), (H.G_2N, min),
+                                        (H.G_N, max)])
+def test_check_conjuncts_memo_matches_whole_conjuncts_on_faults(
+        monkeypatch, machine, pred, pick):
+    # The structures of the fault-injection test above: some parts fail,
+    # and a failing part stops its conjunct.
+    status, tree = H.simulate_atm(_machine(machine), "11")
+    structure = H.embed_and_expand(tree, 2)
+    exts = dict(structure.extensions)
+    (key,) = [k for k in exts if k[0] == pred]
+    exts[key] = exts[key] - {pick(exts[key])}
+    enc = H.encode_atm(_machine(machine), "11")
+    report, calls = _check_counting_evaluate(
+        monkeypatch, enc, M.Structure(structure.domain, exts))
+    assert not report["pass"]
+    assert len(calls) == len(set(calls)) and set(calls) <= set(_parts(enc))

@@ -61,3 +61,27 @@ def test_cli_import_leaves_numpy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_check_and_atm_verify_leave_numpy_out(tmp_path):
+    """`af check` on a small structure (with a predicate for
+    `complete_signature` to add) and `af atm verify`, run in one process,
+    load no numpy."""
+    formula = tmp_path / "f.af"
+    formula.write_text("forall x1 (p(x1) -> (q(x1) | r(x1)))\n")
+    structure = tmp_path / "s.json"
+    structure.write_text(
+        '{"domain": ["a", "b"], "predicates": {"p/1": [["a"]], "q/1": [["a"]]}}')
+    machine = SRC.parent.parent / "tests" / "data" / "hop.atm"
+    code = ("import sys, afkit.cli as C\n"
+            f"assert C.run(['check', {str(formula)!r}, {str(structure)!r}]) == 0\n"
+            f"assert C.run(['atm', 'verify', {str(machine)!r}, '1']) == 0\n"
+            "print('numpy' in sys.modules)")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    lines = out.stdout.splitlines()
+    assert lines[0] == "true" and '"pass": true' in out.stdout
+    assert lines[-1] == "False"
