@@ -1,6 +1,6 @@
 """Adjacent k-types over restricted atom sets, propositional consistency,
-the projection operator, 2-types, connector-types, compatibility, and
-coherence.
+the projection of a table row to a formula, 2-types, connector-types,
+compatibility, and coherence.
 
 An atom key is a pair (predicate name, index word).  Types are total truth
 assignments over a finite atom-key set; they are always relative to the
@@ -340,14 +340,12 @@ def satisfying_types(parts: Sequence, keys: Iterable,
         yield type_at(atoms, i)
 
 
-def project_circ(chi: Sequence, keys_ell: Iterable,
-                 cap: int = DEFAULT_ATOM_CAP) -> Formula:
-    """The strongest consequence about the tail: the disjunction of the
-    l-types eta over keys_ell with chi /\\ eta+ consistent."""
+def project_circ(row, keys_ell: Iterable) -> Formula:
+    """The strongest consequence about the tail: the disjunction, in
+    enumeration order, of the l-types eta over keys_ell true in ``row``, a
+    flat table over their shifted keys (chi /\\ eta+ consistent)."""
     atoms = sort_keys(keys_ell)
-    disjuncts = [AdjType(atoms, eta.bits).formula()
-                 for eta in satisfying_types(chi, shift_keys(atoms), cap,
-                                             "project_circ")]
+    disjuncts = [type_at(atoms, i).formula() for i in row.nonzero()[0]]
     return syntax.make_or(disjuncts or [syntax.FALSE])
 
 

@@ -15,7 +15,7 @@ from . import aftypes as T
 from . import semantics as M
 from . import syntax as S
 from . import words as W
-from .aftypes import AdjType, ConnectorType, consistent
+from .aftypes import AdjType, ConnectorType
 from .syntax import Formula, FormulaError, ResourceError
 
 
@@ -244,6 +244,21 @@ def adjacent_closure(nf: NormalFormFormula) -> NormalFormFormula:
 # ---------------------------------------------------------------------------
 # Variable-count reduction
 
+def _typed_keys(nf: NormalFormFormula, atom_cap: int, stage: str,
+                prune: bool = True) -> tuple:
+    """The sorted relevant atom keys at width l, within ``atom_cap``, and
+    the codes of the l-types satisfying every universal instance (of all
+    l-types without ``prune``); a tripped cap names ``stage``."""
+    keys = T.sort_keys(T.relevant_atoms(nf.sentence(), nf.ell))
+    if len(keys) > atom_cap:
+        raise ResourceError(
+            f"{stage}: {len(keys)} relevant atoms at width {nf.ell} exceeds "
+            f"cap {atom_cap}")
+    return keys, T.walk_table([nf.delta] if prune else [],
+                              W.walks(nf.ell + 1, nf.ell), keys, atom_cap,
+                              CELL_BUDGET, f"{stage} type filter").nonzero()[0]
+
+
 def reduce_step(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
                 counter: Optional[itertools.count] = None,
                 prune: bool = True) -> NormalFormFormula:
@@ -254,37 +269,27 @@ def reduce_step(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     if ell < 3:
         raise FormulaError("reduction requires at least 4 variables")
     closure = adjacent_closure(nf)
-    sent = nf.sentence()
-    keys_ell = T.sort_keys(T.relevant_atoms(sent, ell))
-    if len(keys_ell) > atom_cap:
-        raise ResourceError(
-            f"reduce_step: {len(keys_ell)} relevant atoms at width {ell} "
-            f"exceeds cap {atom_cap}")
-    delta_hat = S.hat(nf.delta, ell + 1)
     # An l-tuple realized in any model satisfies every universal instance,
     # so types failing those constraints need no guard conjuncts.
-    universal = T.walk_table([nf.delta] if prune else [],
-                             W.walks(ell + 1, ell), keys_ell, atom_cap,
-                             CELL_BUDGET, "reduce_step type filter")
+    keys_ell, codes = _typed_keys(nf, atom_cap, "reduce_step", prune)
     counter = counter or itertools.count(1)
     fresh = list(nf.fresh)
     gammas = list(closure.gammas)
     deltas = [closure.delta]
-    new_ell = ell - 1
-    for code in universal.nonzero()[0].tolist():
-        zeta = T.type_at(keys_ell, code)
-        name = f"_pz{next(counter)}"
-        fresh.append((name, zeta.render()))
-        head_tail = S.Atom(name, tuple(S.var(i) for i in range(2, ell + 1)))
-        head_front = S.Atom(name, tuple(S.var(i) for i in range(1, ell)))
-        deltas.append(S.Implies(zeta.formula(), head_tail))
-        for gamma in nf.gammas:
-            proj = T.project_circ([zeta, delta_hat, gamma], keys_ell,
-                                  atom_cap)
-            gammas.append(S.Implies(head_front, proj))
-        proj_univ = T.project_circ([zeta, delta_hat], keys_ell, atom_cap)
-        deltas.append(S.Implies(head_front, proj_univ))
-    return NormalFormFormula(new_ell, tuple(gammas), S.make_and(deltas),
+    xs = tuple(S.var(i) for i in range(1, ell + 1))
+    zetas = (T.type_at(keys_ell, code) for code in codes.tolist())
+    for links, *wits in _link_tables(nf, keys_ell, codes, atom_cap,
+                                     "project_circ"):
+        for r, zeta in enumerate(itertools.islice(zetas, len(links))):
+            name = f"_pz{next(counter)}"
+            fresh.append((name, zeta.render()))
+            head_front = S.Atom(name, xs[:-1])
+            deltas.append(S.Implies(zeta.formula(), S.Atom(name, xs[1:])))
+            gammas += [S.Implies(head_front, T.project_circ(t[r], keys_ell))
+                       for t in wits]
+            deltas.append(S.Implies(head_front,
+                                    T.project_circ(links[r], keys_ell)))
+    return NormalFormFormula(ell - 1, tuple(gammas), S.make_and(deltas),
                              tuple(fresh))
 
 
@@ -299,42 +304,23 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
                trace: Optional[list] = None) -> SatResult:
     """Certificate search for 3-variable normal-form sentences: SAT iff a
     non-empty coherent set of compatible connector-types exists."""
-    import numpy as np
     if nf.ell != 2:
         raise FormulaError("the decider handles 3-variable normal form")
     trace = trace if trace is not None else []
-    sent = nf.sentence()
-    keys2 = T.sort_keys(T.relevant_atoms(sent, 2))
-    if len(keys2) > atom_cap:
-        raise ResourceError(
-            f"decide_af3: {len(keys2)} relevant atoms at width 2 exceeds cap "
-            f"{atom_cap}")
-
     # Admissible 2-types: those satisfying every stalled universal instance.
-    codes = T.walk_table([nf.delta], W.walks(3, 2), keys2, atom_cap,
-                         CELL_BUDGET, "decide_af3 type filter").nonzero()[0]
+    keys2, codes = _typed_keys(nf, atom_cap, "decide_af3")
     admissible = [T.type_at(keys2, i) for i in codes.tolist()]
     index = {t: i for i, t in enumerate(admissible)}
     inv = [index.get(t.inverse(2)) for t in admissible]
     trace.append({"stage": "types", "count": 1 << len(keys2),
                   "admissible": len(admissible)})
 
-    def masks(table) -> list:
-        """Per row of ``table``, the admissible types whose cells are true,
-        as a bitmask over ``admissible``."""
-        packed = np.packbits(table[:, codes], axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
     starts, = T.truth_tables(
         [], keys2, walks=((1, 1, 2),), extras=[[g] for g in nf.gammas],
         cap=atom_cap, stage="decide_af3 start tables")
-    start_masks = [masks(t)[0] for t in starts]
-    link: list = []
-    wit: list = [[] for _ in nf.gammas]
-    for links, *wits in _link_tables(nf, keys2, codes, atom_cap):
-        link += masks(links)
-        for rows, table in zip(wit, wits):
-            rows += masks(table)
+    start_masks = [_masks(t, codes)[0] for t in starts]
+    link, *wit = _link_masks(nf, keys2, codes, atom_cap,
+                             "decide_af3 link/witness tables")
 
     # Group admissible types by their 1-type (as bitmasks over
     # ``admissible``); the compatible connector-types of a group are pi
@@ -401,20 +387,38 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     return result
 
 
-def _link_tables(nf: NormalFormFormula, keys2: tuple, codes,
-                 atom_cap: int = T.DEFAULT_ATOM_CAP):
-    """The link and witness tables of ``decide_af3``, over the 2-types
-    zeta with the given codes as rows and the shifted keys as output axes:
-    row zi of the link table holds the eta with zeta eta+ delta_hat
-    consistent, and row zi of the witness table of gamma_gi those that also
-    satisfy gamma_gi.  One pass of ``aftypes.truth_tables``: delta_hat is
-    walked once per chunk of rows, and each gamma once more."""
+def _link_tables(nf: NormalFormFormula, keys: tuple, codes, atom_cap: int,
+                 stage: str):
+    """The link and witness tables over the l-types zeta over ``keys``
+    with the given codes as rows and the shifted keys as output axes, which
+    every stage reads its eta off: row zi of the link table holds the eta
+    with zeta eta+ delta_hat consistent, and of the witness table of
+    gamma_gi those that also satisfy gamma_gi.  One pass of
+    ``aftypes.truth_tables``, a tripped cap naming ``stage``."""
     import numpy as np
-    bits = (codes[:, None] >> np.arange(len(keys2) - 1, -1, -1)) & 1 == 1
+    bits = (codes[:, None] >> np.arange(len(keys) - 1, -1, -1)) & 1 == 1
     return T.truth_tables(
-        [S.hat(nf.delta, 3)], T.shift_keys(keys2), rows=(keys2, bits),
+        [S.hat(nf.delta, nf.ell + 1)], T.shift_keys(keys), rows=(keys, bits),
         extras=[(), *([g] for g in nf.gammas)], cap=atom_cap,
-        budget=CELL_BUDGET, stage="decide_af3 link/witness tables")
+        budget=CELL_BUDGET, stage=stage)
+
+
+def _masks(table, codes) -> list:
+    """Per row of ``table``, its true cells among ``codes`` as a bitmask."""
+    import numpy as np
+    packed = np.packbits(table[:, codes], axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _link_masks(nf: NormalFormFormula, keys: tuple, codes, atom_cap: int,
+                stage: str) -> list:
+    """The rows of the link table, then of each witness table, as
+    ``_masks`` over the codes: each chunk is cut to those columns."""
+    out: list = [[] for _ in range(len(nf.gammas) + 1)]
+    for tables in _link_tables(nf, keys, codes, atom_cap, stage):
+        for rows, table in zip(out, tables):
+            rows += _masks(table, codes)
+    return out
 
 
 def _bits(mask: int):
@@ -629,16 +633,16 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     unary facts, circular witnessing and the linking fill, per (incoming
     2-type, connector-type) for the witnesses, and per (incoming 2-type,
     outgoing 2-type) for the joining fill, which walks the first element in
-    chunks of about ``CELL_BUDGET`` cells.  Each witnessing or joining
-    3-type is found once per (incoming 2-type, outgoing 2-type, conjunct)
-    as the first true cell of one truth table,
+    chunks of about ``CELL_BUDGET`` cells.  A witness's 2-type is read off
+    the witness tables of ``_link_tables`` over the certificate's 2-types;
+    each witnessing or joining 3-type is found once per (incoming 2-type,
+    outgoing 2-type, conjunct) as the first of
     ``aftypes.satisfying_types``.  The facts are kept in ``_Facts``, two
     dense boolean tables per predicate (written false, written true): an
     atom in both is rejected, and the joining fill skips each triple whose
     atom of one covering key is already written; the model keeps the
-    written-true tables.  With a ``trace`` list, a
-    ``model`` row records the time, the domain and fact counts and
-    the number of 3-type searches."""
+    written-true tables.  With a ``trace`` list, a ``model`` row records
+    the time, the domain and fact counts and the number of 3-type searches."""
     import numpy as np
     start = time.perf_counter()
     if nf.ell != 2:
@@ -650,6 +654,10 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     two_types = sorted({t for om in omegas for t in om.types},
                        key=lambda t: t.bits)
     t_id = {t: i for i, t in enumerate(two_types)}
+    codes = np.array([sum(b << p for p, b in enumerate(reversed(t.bits)))
+                      for t in two_types], dtype=np.int64)
+    _, *wit = _link_masks(nf, T.sort_keys(T.relevant_atoms(sent, 2)), codes,
+                          atom_cap, "build_model witness tables")
     inv = np.array([t_id[t.inverse(2)] for t in two_types], dtype=np.int32)
     shifted = [t.shift_up() for t in two_types]
     members = [sorted(t_id[t] for t in om.types) for om in omegas]
@@ -731,12 +739,10 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     def witness_steps(zeta: int, o: int) -> list:
         """Per conjunct, the witnessing facts for a pair of type zeta into
         connector-type o, and the witness's id up to phase and placement;
-        eta is the first member of o that extends zeta."""
+        eta is the first member of o true in zeta's witness mask."""
         out = []
-        for gi, gamma in enumerate(nf.gammas):
-            eta = next(t for t in members[o]
-                       if consistent([two_types[zeta], shifted[t], gamma,
-                                      delta_hat], atom_cap))
+        for gi, masks in enumerate(wit):
+            eta = next(t for t in members[o] if masks[zeta] >> t & 1)
             out.append((theta(zeta, eta, gi), base[eta] + gi * j_size))
         return out
 

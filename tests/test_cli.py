@@ -379,6 +379,50 @@ def test_reduce_json_golden(capsys, formula_file, entry):
     assert hashlib.sha256(out.encode()).hexdigest() == REDUCE_DIGESTS[entry]
 
 
+# sha256 of `af reduce --json --no-prune` stdout: one guard per type of
+# width 3, admissible or not.  Recorded before the projections were read
+# off the batched link/witness tables.
+NO_PRUNE_DIGESTS = {
+    1: "2e7c0efa2bcbb79f77f2246f17079e39b7b87b256a160c7943ea2fa7f8fc9509",
+    8: "df595ae31a113949d959d8c55a00edc1196dde68912330323f87805c3e067a37",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NO_PRUNE_DIGESTS))
+def test_reduce_no_prune_json_golden(capsys, formula_file, entry):
+    gammas, delta, _label = AF4_CORPUS[entry - 1]
+    code, out, _ = run(capsys, "reduce", formula_file(nf_text(gammas, delta, 3)),
+                       "--json", "--no-prune")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == NO_PRUNE_DIGESTS[entry]
+
+
+# Exact stderr of a tripped cap in each stage that reads the shared
+# keys/cap head or the link/witness tables, recorded at the same point.
+CAP_MESSAGES = [
+    ("sat", "af4", 7, None,
+     "decide_af3: 38 relevant atoms at width 2 exceeds cap 24"),
+    ("reduce", "af4", 9, "16",
+     "reduce_step: 17 relevant atoms at width 3 exceeds cap 16"),
+    ("model", "af3", 1, "4",
+     "build_model 3-type search: 7 atom keys exceeds the cap of 4"),
+]
+
+
+@pytest.mark.parametrize("verb,corpus,entry,cap,message", CAP_MESSAGES,
+                         ids=[v for v, *_ in CAP_MESSAGES])
+def test_cap_message_bytes(capsys, formula_file, monkeypatch, verb, corpus,
+                           entry, cap, message):
+    if cap is None:
+        monkeypatch.delenv("AF_RESOURCE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("AF_RESOURCE_CAP", cap)
+    gammas, delta, _label = {"af3": AF3_CORPUS, "af4": AF4_CORPUS}[corpus][entry - 1]
+    ell = 2 if corpus == "af3" else 3
+    code, out, err = run(capsys, verb, formula_file(nf_text(gammas, delta, ell)))
+    assert (code, out, err) == (3, "", f"resource cap exceeded: {message}\n")
+
+
 @pytest.mark.parametrize("corpus,entry,exit_code,digest", SAT_TRACE_DIGESTS,
                          ids=[f"{c}-{e}" for c, e, _, _ in SAT_TRACE_DIGESTS])
 def test_sat_json_trace_golden(capsys, formula_file, corpus, entry, exit_code,

@@ -431,32 +431,33 @@ def reference_row(z, up, parts):
 
 def assert_stage_tables(nf, rows=None):
     """The walk tables of reduce_step (l >= 3) or decide_af3 (l = 2) equal
-    type_table of the substitute_walk instances; the link and witness rows
-    of decide_af3 equal the per-type reference row by row (all rows, or
-    those with the given indices)."""
+    type_table of the substitute_walk instances, and so do the start
+    tables of decide_af3; the link and witness rows that reduce_step
+    projects and decide_af3 reads equal the per-type reference row by row
+    (all rows, or those with the given indices)."""
     ell = nf.ell
     keys = T.sort_keys(T.relevant_atoms(nf.sentence(), ell))
     walks = list(W.walks(ell + 1, ell))
     stall = T.type_table([S.substitute_walk(nf.delta, g) for g in walks], keys)
     assert (T.walk_table([nf.delta], walks, keys, budget=X.CELL_BUDGET)
             == stall).all()
-    if ell > 2:
-        return
-    starts, = T.truth_tables([], keys, walks=((1, 1, 2),),
-                             extras=[[g] for g in nf.gammas],
-                             budget=X.CELL_BUDGET)
-    for gamma, table in zip(nf.gammas, starts):
-        ref = T.type_table([S.substitute_walk(gamma, (1, 1, 2))], keys)
-        assert (table[0] == ref).all()
+    if ell == 2:
+        starts, = T.truth_tables([], keys, walks=((1, 1, 2),),
+                                 extras=[[g] for g in nf.gammas],
+                                 budget=X.CELL_BUDGET)
+        for gamma, table in zip(nf.gammas, starts):
+            ref = T.type_table([S.substitute_walk(gamma, (1, 1, 2))], keys)
+            assert (table[0] == ref).all()
     codes = stall.nonzero()[0]
-    chunks = list(X._link_tables(nf, keys, codes))
+    chunks = list(X._link_tables(nf, keys, codes, T.DEFAULT_ATOM_CAP,
+                                 "link/witness tables"))
     if not chunks:
         assert not len(codes)
         return
     tables = [np.concatenate(t) for t in zip(*chunks)]
     assert all(len(t) == len(codes) for t in tables)
     up = T.shift_keys(keys)
-    delta_hat = S.hat(nf.delta, 3)
+    delta_hat = S.hat(nf.delta, ell + 1)
     for r in range(len(codes)) if rows is None else rows:
         z = T.type_at(keys, int(codes[r]))
         for table, extra in zip(tables, [[], *([g] for g in nf.gammas)]):

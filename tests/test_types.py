@@ -86,16 +86,20 @@ def test_satisfying_types_order_and_count():
     assert sats == enum
 
 
+def project(parts, keys):
+    """project_circ of the one-row table of parts over the shifted keys."""
+    return T.project_circ(T.type_table(parts, T.shift_keys(keys)), keys)
+
+
 def test_project_circ():
     keys1 = keys_for("r(x1,x1)", 1)
     # The tail of any pair whose second element carries a loop must itself
     # carry the loop.
-    out = T.project_circ([S.parse("r(x2,x2)")], keys1)
+    out = project([S.parse("r(x2,x2)")], keys1)
     assert out == S.parse("r(x1,x1)")
-    taut = T.project_circ([S.parse("r(x1,x2)")], keys1)
+    taut = project([S.parse("r(x1,x2)")], keys1)
     assert set(S.atoms(taut)) == {S.parse("r(x1,x1)")}
-    assert T.project_circ([S.parse("r(x2,x2) & !r(x2,x2)")], keys1) == \
-        S.FALSE
+    assert project([S.parse("r(x2,x2) & !r(x2,x2)")], keys1) == S.FALSE
 
 
 def test_connector_of_and_coherence():
@@ -196,7 +200,7 @@ def test_truth_tables_match_brute_force(keys, types, formulas, data):
         t for t in T.enumerate_types(keys) if extends(models, t)]
     tails = [eta.formula() for eta in T.enumerate_types(keys)
              if extends(models, eta.shift_up())]
-    assert T.project_circ(parts, keys) == S.make_or(tails or [S.FALSE])
+    assert project(parts, keys) == S.make_or(tails or [S.FALSE])
 
 
 def test_truth_table_examples():
