@@ -341,12 +341,44 @@ def satisfying_types(parts: Sequence, keys: Iterable,
 
 
 def project_circ(row, keys_ell: Iterable) -> Formula:
-    """The strongest consequence about the tail: the disjunction, in
-    enumeration order, of the l-types eta over keys_ell true in ``row``, a
-    flat table over their shifted keys (chi /\\ eta+ consistent)."""
-    atoms = sort_keys(keys_ell)
-    disjuncts = [type_at(atoms, i).formula() for i in row.nonzero()[0]]
-    return syntax.make_or(disjuncts or [syntax.FALSE])
+    """The strongest consequence about the tail: the l-types eta over
+    keys_ell true in ``row``, a flat table over their shifted keys (chi /\\
+    eta+ consistent), as a reduced decision tree.  The table is
+    Shannon-expanded over the sorted keys, first key first, skipping each
+    key the sub-table does not depend on; a constant sub-table is TRUE or
+    FALSE.  It never has more literals than the disjunction of the types."""
+    import numpy as np
+    keys = sort_keys(keys_ell)
+    TRUE, FALSE = syntax.TRUE, syntax.FALSE
+
+    def tree(cells: int, p: int) -> Formula:
+        """The sub-table of the types whose first p keys are fixed, as an
+        integer whose bit i is its cell i: the first key free splits the
+        low half from the high half."""
+        if not cells:
+            return FALSE
+        if cells == (1 << (1 << len(keys) - p)) - 1:
+            return TRUE
+        half = 1 << (len(keys) - p - 1)
+        lo, hi = cells & ((1 << half) - 1), cells >> half
+        if lo == hi:
+            return tree(lo, p + 1)
+        on = key_atom(keys[p])
+        off = syntax.Not(on)
+        low, high = tree(lo, p + 1), tree(hi, p + 1)
+        if low == FALSE:
+            return on if high == TRUE else syntax.make_and([on, high])
+        if high == FALSE:
+            return off if low == TRUE else syntax.make_and([off, low])
+        if high == TRUE:
+            return syntax.make_or([on, low])
+        if low == TRUE:
+            return syntax.make_or([off, high])
+        return syntax.make_or([syntax.make_and([off, low]),
+                               syntax.make_and([on, high])])
+
+    return tree(int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                               "little"), 0)
 
 
 # ---------------------------------------------------------------------------

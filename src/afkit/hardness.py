@@ -558,11 +558,11 @@ def encode_atm(machine: ATM, w: str, literal_succ: bool = False) -> Encoding:
         ("epsilon_Er_n", build_epsilon("E_r", F_N, n)),
     ]
     sentence = S.make_and([f for _, f in conjuncts])
-    signature = S.signature(sentence)
+    signature, size = S.signature_and_size(sentence)
     budget = SIZE_CONSTANT * (len(machine.states) + len(machine.alphabet)) ** 2
     budget *= max(n, 1) ** 2
-    assert S.node_count(sentence) <= budget, (
-        f"encoding size {S.node_count(sentence)} exceeds the documented "
+    assert size <= budget, (
+        f"encoding size {size} exceeds the documented "
         f"polynomial budget {budget}")
     return Encoding(n, tuple(conjuncts),
                     {name: arity for (name, arity) in signature.items()})

@@ -218,27 +218,50 @@ def normalize(f: Formula) -> NormalFormFormula:
 def adjacent_closure(nf: NormalFormFormula) -> NormalFormFormula:
     """The consequence of identifying universally quantified variables in
     every adjacency-preserving way; a normal-form sentence one variable
-    down."""
+    down.  Each gamma and each top-level conjunct of delta is kept once,
+    at its first occurrence."""
     ell = nf.ell
     if ell < 2:
         raise FormulaError("closure requires at least 3 variables")
     new_ell = ell - 1
-    gammas = []
-    for gamma in nf.gammas:
-        for k in range(1, ell):
-            for f in W.walks(ell, k, end_at=k):
-                f_plus = tuple(f) + (k + 1,)
-                body = S.substitute_walk(gamma, f_plus)
-                gammas.append(S.shift_up(body, new_ell - k) if new_ell > k
-                              else body)
-    deltas = []
-    for k in range(1, ell + 1):
-        for g in W.walks(ell + 1, k):
-            body = S.substitute_walk(nf.delta, g)
-            deltas.append(S.shift_up(body, new_ell + 1 - k)
-                          if new_ell + 1 > k else body)
+    gamma_walks = [(tuple(f) + (k + 1,), new_ell - k) for k in range(1, ell)
+                   for f in W.walks(ell, k, end_at=k)]
+    gammas = dict.fromkeys(image for gamma in nf.gammas
+                           for image in _images([gamma], gamma_walks))
+    delta_walks = [(g, ell - k) for k in range(1, ell + 1)
+                   for g in W.walks(ell + 1, k)]
+    parts = nf.delta.args if isinstance(nf.delta, S.And) else (nf.delta,)
     return NormalFormFormula(new_ell, tuple(gammas),
-                             S.make_and(deltas or [S.TRUE]), nf.fresh)
+                             S.make_and(_images(parts, delta_walks)
+                                        or [S.TRUE]), nf.fresh)
+
+
+def _images(parts: Sequence, walks: list) -> list:
+    """The distinct formulas ``shift_up(substitute_walk(part, walk),
+    shift)`` over the (walk, shift) pairs and, per pair, the parts, in
+    order of first occurrence.  An image is fixed by the map i -> walk[i-1]
+    + shift on the indices its part reads, so each part is substituted once
+    per distinct map."""
+    width = len(walks[0][0]) if walks else 0
+    reads = []
+    for part in parts:
+        read = sorted({S.var_index(v) or 0
+                       for a in S.atoms(part) for v in a.args})
+        # A part naming a variable outside x1..x_width gets a key of its own,
+        # so its substitution raises as it would under any walk.
+        reads.append(read if not read or read[0] >= 1 and read[-1] <= width
+                     else None)
+    seen: set = set()
+    out: dict = {}
+    for walk, shift in walks:
+        for p, (part, read) in enumerate(zip(parts, reads)):
+            key = (p, walk, shift) if read is None else (
+                p, tuple(walk[i - 1] + shift for i in read))
+            if key not in seen:
+                seen.add(key)
+                body = S.substitute_walk(part, walk)
+                out[S.shift_up(body, shift) if shift else body] = None
+    return list(out)
 
 
 # ---------------------------------------------------------------------------

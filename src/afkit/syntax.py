@@ -199,14 +199,25 @@ def is_quantifier_free(f: Formula) -> bool:
 
 def signature(f: Formula) -> dict:
     """Predicate name -> arity, inferred from the formula."""
+    return signature_and_size(f)[0]
+
+
+def signature_and_size(f: Formula) -> tuple:
+    """``(signature(f), node_count(f))`` from one walk of f."""
     sig: dict = {}
-    for a in atoms(f):
-        prev = sig.setdefault(a.pred, a.arity)
-        if prev != a.arity:
-            raise FormulaError(
-                f"predicate {a.pred} used with arities {prev} and {a.arity}"
-            )
-    return sig
+    size = 0
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        size += 1
+        if isinstance(g, Atom):
+            prev = sig.setdefault(g.pred, g.arity)
+            if prev != g.arity:
+                raise FormulaError(f"predicate {g.pred} used with arities "
+                                   f"{prev} and {g.arity}")
+        else:
+            stack.extend(reversed(children(g)))
+    return sig, size
 
 
 def strip_units(f: Formula) -> Formula:

@@ -248,19 +248,22 @@ def test_joining_fill_orientation_golden(capsys, formula_file, monkeypatch,
 
 
 def test_af4_entry_9_model():
-    """The largest model the pipeline builds: the joining fill over 90
-    elements.  The digest is over the sorted facts of the renamed model,
-    one ``name(e1,e2,...)`` line each, recorded before model construction
-    moved to element-id arrays."""
+    """AF4 entry 9 through the reduction and the model: the joining fill
+    over 45 elements.  The digest is over the sorted facts of the renamed
+    model, one ``name(e1,e2,...)`` line each; the model passes
+    ``tables_satisfy``."""
     gammas, delta, _label = AF4_CORPUS[8]
-    res = X.decide(S.parse(nf_text(gammas, delta, 3)), want_model=True)
+    f = S.parse(nf_text(gammas, delta, 3))
+    res = X.decide(f, want_model=True)
     model = X.rename_model(res.model)
     lines = sorted(f"{name}({','.join(t)})"
                    for (name, _arity), ext in model.extensions.items()
                    for t in ext)
-    assert (len(model.domain), len(lines)) == (90, 737100)
+    assert X.tables_satisfy(X.normalize(f), res.id_model.tables,
+                            len(res.id_model.domain))
+    assert (len(model.domain), len(lines)) == (45, 93150)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
-        "cdbdf2489df8a2ad114f6453189df15508d62a44b4dc5b0554193978076be34a"
+        "68585c9c4410c626ce7d6bedb21697073a14ca92e8900adac94d20e36536d84e"
 
 
 # Outputs of the two-variable translations on sentences that requantify a
@@ -354,17 +357,17 @@ def test_check_rejects_malformed_structure(capsys, formula_file, tmp_path,
     assert err.startswith("error: ")
 
 
-# sha256 of stdout, recorded before the propositional layer moved to truth
-# tables: the `_pz` guard names and their order, the disjunct order of each
-# projection, and the types/pool/closure/certificate trace rows.
+# sha256 of stdout: the `_pz` guard names and their order, each projection
+# as a decision tree, each closure conjunct once, and the
+# types/pool/closure/certificate trace rows.
 REDUCE_DIGESTS = {
-    1: "70595cb6f328f524ea32fc4129715e5dc1b574eee3c0ecbfb8f6daf9487f4896",
-    3: "e9d8064e26416cf44ca45f49269b6b428496a6dd75cd78f12ab021d6f97a223b",
-    7: "143e6f9a9b7c7ba62d37a83732719a244a8311ad4287781f0696afc529776d61",
-    9: "86e62145d875319fa4ac3ae38006f9544fb53c27e41b721b93ef29e455c622fb",
+    1: "56b9c5c92659dc5308aed8f018617ef95e593929d6b296de4fd5010f02b9109f",
+    3: "ad52dadead5551895796c090356c32b89b47f6f748a9df9e438c17a3c4d6faf6",
+    7: "8e806a9ced52b64c2262a94030f02a7f137e0f563a3993c2cc05da0806992fe5",
+    9: "b3e9bff02b8f37cafe22ccf6a2784a97336779b913c7724ab43e042bf348f20c",
 }
 SAT_TRACE_DIGESTS = [
-    ("af4", 3, 0, "9047526ccdf47c4dc179f118ed7ae9858aab23f04bb02620b5b969c2399cd08d"),
+    ("af4", 3, 0, "f9c2f4acb782cce8543807b0ef222fbb5971a290b6d7ba44d33faa3a25a8d11d"),
     ("af3", 12, 0, "bdf3462baba44a8ecc6271602e8fe473f8c872a2e4d2f42f3d319ec6fc47e582"),
     ("af3", 30, 1, "c71f622999f1efe84f85cb9099d326fe0b9126b626ebb5eec15625ae4cb7ab82"),
 ]
@@ -380,11 +383,10 @@ def test_reduce_json_golden(capsys, formula_file, entry):
 
 
 # sha256 of `af reduce --json --no-prune` stdout: one guard per type of
-# width 3, admissible or not.  Recorded before the projections were read
-# off the batched link/witness tables.
+# width 3, admissible or not.
 NO_PRUNE_DIGESTS = {
-    1: "2e7c0efa2bcbb79f77f2246f17079e39b7b87b256a160c7943ea2fa7f8fc9509",
-    8: "df595ae31a113949d959d8c55a00edc1196dde68912330323f87805c3e067a37",
+    1: "c6a3a3e468e66f13ee79caa22e5f2e669b0dc1135ea27b484308ec0290f44de9",
+    8: "135eb47ad1875952d4dfb271b17fc8d7ad101264546378de162d5f6fa25abad8",
 }
 
 

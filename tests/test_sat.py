@@ -3,6 +3,7 @@ decider, model construction, and the brute-force oracle."""
 
 import itertools
 import re
+import time
 from unittest import mock
 
 import numpy as np
@@ -67,6 +68,50 @@ def test_adjacent_closure_is_consequence():
     model = X.brute_force_sat(f, max_n=3)
     assert model is not None
     assert M.evaluate(model, clo.sentence())
+
+
+def all_walks_closure(nf):
+    """The reference closure: every gamma and delta substituted under every
+    walk, every copy kept."""
+    ell = nf.ell
+    gammas = [S.shift_up(S.substitute_walk(g, f + (k + 1,)), ell - 1 - k)
+              for g in nf.gammas for k in range(1, ell)
+              for f in W.walks(ell, k, end_at=k)]
+    delta = S.make_and([S.shift_up(S.substitute_walk(nf.delta, g), ell - k)
+                        for k in range(1, ell + 1)
+                        for g in W.walks(ell + 1, k)])
+    return gammas, delta
+
+
+def distinct_closure(nf):
+    """``all_walks_closure`` with each gamma and each top-level delta
+    conjunct kept at its first occurrence."""
+    gammas, delta = all_walks_closure(nf)
+    conjuncts = delta.args if isinstance(delta, S.And) else (delta,)
+    return X.NormalFormFormula(nf.ell - 1, tuple(dict.fromkeys(gammas)),
+                               S.make_and(list(dict.fromkeys(conjuncts))
+                                          or [S.TRUE]), nf.fresh)
+
+
+@pytest.mark.parametrize("entry", range(1, 11))
+def test_adjacent_closure_matches_all_walks_on_af4(entry):
+    gs, d, _expect = AF4_CORPUS[entry - 1]
+    nf = X.normalize(S.parse(nf_text(gs, d, 3)))
+    assert X.adjacent_closure(nf) == distinct_closure(nf)
+
+
+@pytest.mark.parametrize("gamma,delta", [
+    ("r(x4,x5)", "p(x1)"), ("p(x1)", "p(x1) & r(x4,x5)"),
+    ("p(x1)", "p(x2) & p(u)"), ("p(x1)", S.Atom("p", ("x0",)))])
+def test_adjacent_closure_raises_as_all_walks(gamma, delta):
+    """A conjunct naming a variable outside x1..x4 raises the error of its
+    first substitution."""
+    nf = X.NormalFormFormula(3, (S.parse(gamma),), S.parse(delta)
+                             if isinstance(delta, str) else delta)
+    with pytest.raises(S.FormulaError) as ref:
+        all_walks_closure(nf)
+    with pytest.raises(S.FormulaError, match=re.escape(str(ref.value))):
+        X.adjacent_closure(nf)
 
 
 def test_reduce_step_unpruned_guard_count():
@@ -340,6 +385,27 @@ def test_decide_full_pipeline_four_variables():
     assert not X.decide(unsat_f).satisfiable
 
 
+@pytest.mark.parametrize("delta,expect", [("r(x1,x2)", True),
+                                          ("!r(x1,x2)", False)],
+                         ids=["sat", "unsat"])
+def test_decide_five_variables(delta, expect):
+    """Two reduction steps, then the decider, within 3 s each."""
+    f = S.parse(nf_text(["r(x4,x5)"], delta, 4))
+    start = time.perf_counter()
+    assert X.decide(f).satisfiable == expect
+    assert time.perf_counter() - start < 3.0
+
+
+@pytest.mark.xfail(raises=S.ResourceError, strict=True,
+                   reason="ROADMAP item 1(b): build_model's 3-type search "
+                   "counts the 31 keys its types fix against the cap of 24")
+def test_decide_five_variable_model():
+    f = S.parse(nf_text(["r(x4,x5)"], "r(x1,x2)", 4))
+    res = X.decide(f, want_model=True)
+    assert X.tables_satisfy(X.normalize(f), res.id_model.tables,
+                            len(res.id_model.domain))
+
+
 def test_decide_respects_variable_cap():
     f = S.parse(nf_text(["r(x3,x4)"], "r(x1,x2)", 3))
     with pytest.raises(S.ResourceError):
@@ -540,3 +606,10 @@ def test_stage_tables_match_reference_on_random_sentences(nf, budget, data):
                               unique=True) if admissible else st.just([]))
     with mock.patch.object(X, "CELL_BUDGET", budget):
         assert_stage_tables(nf, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nf=normal_forms())
+def test_adjacent_closure_matches_all_walks_on_random_sentences(nf):
+    """Random normal forms of width 2 and 3 (see ``distinct_closure``)."""
+    assert X.adjacent_closure(nf) == distinct_closure(nf)

@@ -59,6 +59,21 @@ def test_basic_queries():
     assert S.node_count(g) == 3
 
 
+def test_signature_and_size_in_one_walk():
+    """The signature in first-occurrence order and the node count of
+    ``subformulas``; an arity clash raises as ``signature`` does."""
+    for text, *_ in CLASSIFY_CORPUS:
+        f = S.parse(text)
+        sig = {}
+        for a in S.atoms(f):
+            sig.setdefault(a.pred, a.arity)
+        assert S.signature_and_size(f) == (sig, S.node_count(f))
+        assert list(S.signature_and_size(f)[0]) == list(sig)
+    with pytest.raises(S.FormulaError, match="arities 1 and 2"):
+        S.signature_and_size(S.And((S.Atom("p", ("x1",)),
+                                    S.Atom("p", ("x1", "x2")))))
+
+
 def test_classification_corpus():
     for text, adj, mk in CLASSIFY_CORPUS:
         report = S.classify(S.parse(text))

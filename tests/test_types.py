@@ -1,6 +1,7 @@
 """Adjacent types over restricted atom sets, connector-types, and the
 projection operator."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,8 +98,7 @@ def test_project_circ():
     # carry the loop.
     out = project([S.parse("r(x2,x2)")], keys1)
     assert out == S.parse("r(x1,x1)")
-    taut = project([S.parse("r(x1,x2)")], keys1)
-    assert set(S.atoms(taut)) == {S.parse("r(x1,x1)")}
+    assert project([S.parse("r(x1,x2)")], keys1) == S.TRUE
     assert project([S.parse("r(x2,x2) & !r(x2,x2)")], keys1) == S.FALSE
 
 
@@ -200,7 +200,56 @@ def test_truth_tables_match_brute_force(keys, types, formulas, data):
         t for t in T.enumerate_types(keys) if extends(models, t)]
     tails = [eta.formula() for eta in T.enumerate_types(keys)
              if extends(models, eta.shift_up())]
-    assert project(parts, keys) == S.make_or(tails or [S.FALSE])
+    assert (T.type_table([project(parts, keys)], keys)
+            == T.type_table([S.make_or(tails or [S.FALSE])], keys)).all()
+
+
+def dnf_projection(row, keys):
+    """The reference rendering of a row: the disjunction, in enumeration
+    order, of the types over ``keys`` at its true cells."""
+    atoms = T.sort_keys(keys)
+    return S.make_or([T.type_at(atoms, i).formula()
+                      for i in row.nonzero()[0].tolist()] or [S.FALSE])
+
+
+def literals(f) -> int:
+    return sum(1 for _ in S.atoms(f))
+
+
+@st.composite
+def rows(draw):
+    """Sorted keys of KEY_POOL and a table over them: arbitrary cells, or
+    the truth table of a formula, whose rows a decision tree can reduce."""
+    keys = T.sort_keys(draw(st.lists(st.sampled_from(KEY_POOL), max_size=5,
+                                     unique=True)))
+    cells = draw(st.one_of(
+        st.lists(st.booleans(), min_size=1 << len(keys),
+                 max_size=1 << len(keys)).map(np.array),
+        qf_formulas.map(lambda f: T.type_table([f], keys))))
+    return keys, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows())
+def test_project_circ_is_a_compact_decision_tree(drawn):
+    """The tree's truth table is its row, and it has at most the literals
+    of the row's DNF."""
+    keys, row = drawn
+    tree = T.project_circ(row, keys)
+    dnf = dnf_projection(row, keys)
+    assert (T.type_table([tree], keys) == row).all()
+    assert (T.type_table([dnf], keys) == row).all()
+    assert literals(tree) <= literals(dnf)
+    assert set(map(T.atom_key, S.atoms(tree))) <= set(keys)
+
+
+def test_project_circ_skips_keys_the_row_ignores():
+    keys = keys_for("r(x1,x2)", 2)
+    # r(x1,x2) & !r(x2,x2), whatever r(x1,x1) and r(x2,x1) are.
+    row = T.type_table([S.parse("r(x1,x2) & !r(x2,x2)")], keys)
+    assert T.project_circ(row, keys) == S.parse("r(x1,x2) & !r(x2,x2)")
+    assert literals(dnf_projection(row, keys)) == 16
+    assert T.project_circ(~row, keys) == S.parse("!r(x1,x2) | r(x2,x2)")
 
 
 def test_truth_table_examples():
