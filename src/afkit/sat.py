@@ -342,8 +342,12 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
         [], keys2, walks=((1, 1, 2),), extras=[[g] for g in nf.gammas],
         cap=atom_cap, stage="decide_af3 start tables")
     start_masks = [_masks(t, codes)[0] for t in starts]
-    link, *wit = _link_masks(nf, keys2, codes, atom_cap,
-                             "decide_af3 link/witness tables")
+    # Row zi of link and of each wit[gi], cut to the admissible columns.
+    link, *wit = rows = [[] for _ in range(len(nf.gammas) + 1)]
+    for tables in _link_tables(nf, keys2, codes, atom_cap,
+                               "decide_af3 link/witness tables"):
+        for out, table in zip(rows, tables):
+            out += _masks(table, codes)
 
     # Group admissible types by their 1-type (as bitmasks over
     # ``admissible``); the compatible connector-types of a group are pi
@@ -405,8 +409,8 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     trace.append({"stage": "certificate", "size": len(certificate)})
     result = SatResult(True, certificate=certificate, trace=trace)
     if want_model:
-        result.id_model = build_model(certificate, nf, atom_cap=atom_cap,
-                                      trace=trace)
+        result.id_model = build_model(certificate, nf, index, inv, wit,
+                                      atom_cap, trace)
     return result
 
 
@@ -431,17 +435,6 @@ def _masks(table, codes) -> list:
     import numpy as np
     packed = np.packbits(table[:, codes], axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _link_masks(nf: NormalFormFormula, keys: tuple, codes, atom_cap: int,
-                stage: str) -> list:
-    """The rows of the link table, then of each witness table, as
-    ``_masks`` over the codes: each chunk is cut to those columns."""
-    out: list = [[] for _ in range(len(nf.gammas) + 1)]
-    for tables in _link_tables(nf, keys, codes, atom_cap, stage):
-        for rows, table in zip(out, tables):
-            rows += _masks(table, codes)
-    return out
 
 
 def _bits(mask: int):
@@ -638,34 +631,36 @@ class _Facts:
         return {name: true for name, (_, true) in self.tables.items()}
 
 
-def build_model(certificate: Sequence, nf: NormalFormFormula,
-                atom_cap: int = T.DEFAULT_ATOM_CAP,
-                trace: Optional[list] = None) -> IdModel:
+def build_model(certificate: Sequence, nf: NormalFormFormula, index: dict,
+                adm_inv: list, wit: list, atom_cap: int,
+                trace: list) -> IdModel:
     """Three-stage construction of a finite model from a certificate, as
     an ``IdModel`` whose tables ``tables_satisfy`` has checked against the
-    sentence.
+    sentence.  ``index``, ``adm_inv`` and ``wit`` are the decider's tables
+    over the admissible 2-types: the admissible id of each, the admissible
+    id of its inverse, and per conjunct the witness mask of each.
 
     Elements are (connector-type, 2-type, phase, conjunct, placement)
     index tuples; the placement indices and their fresh-choice function
     are the verified ones of ``words.small_pair_placement``.  The stages
     run over element-id arrays: every 2-type of the certificate gets an id
-    in bit order, with its inverse and shifted type computed once, the
-    pair types are an n x n id array, and each stage writes the facts a
-    type fixes on exactly its elements as one array operation per group of
-    pairs or triples that share it: per (connector-type, 2-type) for the
-    unary facts, circular witnessing and the linking fill, per (incoming
-    2-type, connector-type) for the witnesses, and per (incoming 2-type,
-    outgoing 2-type) for the joining fill, which walks the first element in
-    chunks of about ``CELL_BUDGET`` cells.  A witness's 2-type is read off
-    the witness tables of ``_link_tables`` over the certificate's 2-types;
-    each witnessing or joining 3-type is found once per (incoming 2-type,
-    outgoing 2-type, conjunct) as the first of
+    in bit order, which is also the order of its admissible id, with its
+    inverse and shifted type computed once, the pair types are an n x n id
+    array, and each stage writes the facts a type fixes on exactly its
+    elements as one array operation per group of pairs or triples that
+    share it: per (connector-type, 2-type) for the unary facts, circular
+    witnessing and the linking fill, per (incoming 2-type, connector-type)
+    for the witnesses, and per (incoming 2-type, outgoing 2-type) for the
+    joining fill, which walks the first element in chunks of about
+    ``CELL_BUDGET`` cells.  A witness's 2-type is read off the decider's
+    witness masks ``wit``; each witnessing or joining 3-type is found once
+    per (incoming 2-type, outgoing 2-type, conjunct) as the first of
     ``aftypes.satisfying_types``.  The facts are kept in ``_Facts``, two
     dense boolean tables per predicate (written false, written true): an
     atom in both is rejected, and the joining fill skips each triple whose
     atom of one covering key is already written; the model keeps the
-    written-true tables.  With a ``trace`` list, a ``model`` row records
-    the time, the domain and fact counts and the number of 3-type searches."""
+    written-true tables.  A ``model`` row appended to ``trace`` records the
+    time, the domain and fact counts and the number of 3-type searches."""
     import numpy as np
     start = time.perf_counter()
     if nf.ell != 2:
@@ -676,14 +671,12 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     delta_hat = S.hat(nf.delta, 3)
     two_types = sorted({t for om in omegas for t in om.types},
                        key=lambda t: t.bits)
-    t_id = {t: i for i, t in enumerate(two_types)}
-    codes = np.array([sum(b << p for p, b in enumerate(reversed(t.bits)))
-                      for t in two_types], dtype=np.int64)
-    _, *wit = _link_masks(nf, T.sort_keys(T.relevant_atoms(sent, 2)), codes,
-                          atom_cap, "build_model witness tables")
-    inv = np.array([t_id[t.inverse(2)] for t in two_types], dtype=np.int32)
+    # adm[t]: the admissible id of 2-type id t (both in bit order).
+    adm = [index[t] for t in two_types]
+    t_id = {a: i for i, a in enumerate(adm)}
+    inv = np.array([t_id[adm_inv[a]] for a in adm], dtype=np.int32)
     shifted = [t.shift_up() for t in two_types]
-    members = [sorted(t_id[t] for t in om.types) for om in omegas]
+    members = [sorted(t_id[index[t]] for t in om.types) for om in omegas]
     # holder[t]: the first connector-type holding the inverse of t;
     # link[o][o2]: the first member of o whose inverse o2 holds.
     holder = [next(o for o, ms in enumerate(members) if inv[t] in ms)
@@ -765,7 +758,8 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
         eta is the first member of o true in zeta's witness mask."""
         out = []
         for gi, masks in enumerate(wit):
-            eta = next(t for t in members[o] if masks[zeta] >> t & 1)
+            row = masks[adm[zeta]]
+            eta = next(t for t in members[o] if row >> adm[t] & 1)
             out.append((theta(zeta, eta, gi), base[eta] + gi * j_size))
         return out
 
@@ -809,13 +803,12 @@ def build_model(certificate: Sequence, nf: NormalFormFormula,
     if not tables_satisfy(nf, model.tables, n):
         raise RuntimeError(
             "internal consistency failure: constructed model fails the sentence")
-    if trace is not None:
-        trace.append({"stage": "model",
-                      "millis": round((time.perf_counter() - start) * 1000.0, 3),
-                      "elems": n,
-                      "facts": sum(int(np.count_nonzero(t))
-                                   for t in model.tables.values()),
-                      "theta_searches": len(theta_facts)})
+    trace.append({"stage": "model",
+                  "millis": round((time.perf_counter() - start) * 1000.0, 3),
+                  "elems": n,
+                  "facts": sum(int(np.count_nonzero(t))
+                               for t in model.tables.values()),
+                  "theta_searches": len(theta_facts)})
     return model
 
 

@@ -425,6 +425,25 @@ def test_cap_message_bytes(capsys, formula_file, monkeypatch, verb, corpus,
     assert (code, out, err) == (3, "", f"resource cap exceeded: {message}\n")
 
 
+# AF3 entry 11 has three 1-type groups of 2,048 candidate connector-types:
+# a cap equal to the total passes, one below it trips at the third group.
+POOL_CAPS = [
+    ("6144", 0, "SAT\n", ""),
+    ("6143", 3, "", "resource cap exceeded: decide_af3 pool: 6144 candidate "
+                    "connector-types exceeds the cap of 6143\n"),
+]
+
+
+@pytest.mark.parametrize("cap,code,out,err", POOL_CAPS,
+                         ids=[cap for cap, *_ in POOL_CAPS])
+def test_pool_cap_counts_candidates(capsys, formula_file, monkeypatch, cap,
+                                    code, out, err):
+    monkeypatch.delenv("AF_RESOURCE_CAP", raising=False)
+    gammas, delta, _label = AF3_CORPUS[10]
+    assert run(capsys, "sat", formula_file(nf_text(gammas, delta, 2)),
+               "--pool-cap", cap) == (code, out, err)
+
+
 @pytest.mark.parametrize("corpus,entry,exit_code,digest", SAT_TRACE_DIGESTS,
                          ids=[f"{c}-{e}" for c, e, _, _ in SAT_TRACE_DIGESTS])
 def test_sat_json_trace_golden(capsys, formula_file, corpus, entry, exit_code,

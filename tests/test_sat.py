@@ -267,6 +267,34 @@ def test_build_model_is_verified():
     assert M.evaluate(res.model, f)
 
 
+@pytest.mark.parametrize("ell,entry", [
+    *(pytest.param(2, e, id=f"af3-{i}")
+      for i, e in enumerate(AF3_CORPUS, 1) if e[2]),
+    pytest.param(3, AF4_CORPUS[8], id="af4-9")])
+def test_decide_af3_builds_link_tables_once(monkeypatch, ell, entry):
+    """One link/witness pass per decision, with or without a model:
+    build_model reads the decider's witness masks.  AF4 entry 9 is decided
+    on its reduced three-variable sentence."""
+    gs, d, _expect = entry
+    nf = X.normalize(S.parse(nf_text(gs, d, ell)))
+    if ell == 3:
+        nf = X.reduce_step(nf)
+    calls = []
+    real = X._link_tables
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(X, "_link_tables", counted)
+    for want_model in (False, True):
+        calls.clear()
+        res = X.decide_af3(nf, want_model=want_model)
+        assert res.satisfiable
+        assert (res.id_model is not None) == want_model
+        assert calls == ["decide_af3 link/witness tables"]
+
+
 @pytest.mark.parametrize("writes,clash", [
     # r(a, b) written true, then false.
     ([([("r", (0, 1), True)], [0], [1]), ([("r", (0, 1), False)], [0], [1])],
