@@ -326,7 +326,12 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
                pool_cap: int = DEFAULT_POOL_CAP, want_model: bool = False,
                trace: Optional[list] = None) -> SatResult:
     """Certificate search for 3-variable normal-form sentences: SAT iff a
-    non-empty coherent set of compatible connector-types exists."""
+    non-empty coherent set of compatible connector-types exists.
+
+    The candidates of each 1-type group, pi squared plus any subset of the
+    group's other admissible 2-types, count against ``pool_cap`` and are
+    tested together by ``_group_pool``; a group of more than 63 members
+    raises ``ResourceError`` whatever the cap."""
     if nf.ell != 2:
         raise FormulaError("the decider handles 3-variable normal form")
     trace = trace if trace is not None else []
@@ -350,9 +355,9 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
             out += _masks(table, codes)
 
     # Group admissible types by their 1-type (as bitmasks over
-    # ``admissible``); the compatible connector-types of a group are pi
+    # ``admissible``); the candidate connector-types of a group are pi
     # squared plus a submask of the rest.  need[om] is the mask of the
-    # inverses of om's members (inverse is a bijection, so sum is union).
+    # inverses of om's members.
     groups: dict = {}
     for i, t in enumerate(admissible):
         pi = T.restrict_to_ones(t)
@@ -363,22 +368,19 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
         pi2 = index.get(T.one_type_squared(pi, keys2))
         if pi2 is None or not groups[pi] >> pi2 & 1:
             continue
-        base = 1 << pi2
-        rest = groups[pi] ^ base
-        if (1 << rest.bit_count()) > budget:
-            reached = pool_cap - budget + (1 << rest.bit_count())
+        rest = groups[pi] ^ 1 << pi2
+        width = rest.bit_count()
+        if (1 << width) > budget:
+            reached = pool_cap - budget + (1 << width)
             raise ResourceError(
                 f"decide_af3 pool: {reached} candidate connector-types "
                 f"exceeds the cap of {pool_cap}")
-        budget -= 1 << rest.bit_count()
-        sub = 0
-        while True:
-            omega = base | sub
-            if _mask_compatible(omega, inv, start_masks, wit, link):
-                need[omega] = sum(1 << inv[i] for i in _bits(omega))
-            sub = (sub - rest) & rest
-            if not sub:
-                break
+        if width > 62:  # only under a pool cap of 2^63 or more
+            raise ResourceError(
+                f"decide_af3 pool: a 1-type group of {width + 1} 2-types "
+                f"exceeds the int64 mask limit of 63")
+        budget -= 1 << width
+        need.update(_group_pool(pi2, rest, inv, start_masks, wit, link))
     trace.append({"stage": "pool", "compatible": len(need)})
 
     # Greatest coherence-closed subset under the existential condition: a
@@ -394,7 +396,8 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
             break
         pool_set = keep
     # Few-membered connector-types first: they yield smaller witness models.
-    pruned = sorted(pool_set, key=lambda m: (m.bit_count(), m))
+    pruned = sorted(pool_set)
+    pruned.sort(key=int.bit_count)
     trace.append({"stage": "closure", "remaining": len(pruned)})
 
     cert_masks = _find_certificate(pruned, need, inv)
@@ -444,24 +447,70 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _mask_compatible(omega: int, inv, start_masks, wit, link) -> bool:
-    for mask in start_masks:
-        if not mask & omega:
-            return False
-    m = omega
-    while m:
-        low = m & -m
-        ei = low.bit_length() - 1
-        m ^= low
-        zi = inv[ei]
-        if zi is None:
-            return False
-        if (link[zi] & omega) != omega:
-            return False
-        for gmask in wit:
-            if not gmask[zi] & omega:
-                return False
-    return True
+def _group_pool(pi2: int, rest: int, inv, start_masks, wit, link) -> dict:
+    """The compatible connector-types of one 1-type group, pi squared (bit
+    ``pi2``) plus a submask of ``rest``, each mapped to its inverse mask, in
+    ascending order.  omega is compatible iff (i) it meets every start
+    mask, and for each member e (ii) it meets ``wit[g][inv e]`` for every g
+    and (iii) ``link[inv e]`` holds all of omega; a member without an
+    admissible inverse rules out every omega that holds it.
+
+    Each candidate is held as an int64 local mask over the members of
+    ``rest`` (bit j is the j-th lowest), so the conditions are vector
+    operations over every candidate of a chunk of ``CELL_BUDGET``; the
+    survivors map back to global masks through 256-entry tables, one per
+    byte of the local mask.  ``rest`` has at most 62 members."""
+    import numpy as np
+    members = list(_bits(rest))
+    size, base = 1 << len(members), 1 << pi2
+
+    def local(mask: int) -> int:
+        return sum(1 << j for j, m in enumerate(members) if mask >> m & 1)
+
+    zb = inv[pi2]
+    if zb is None or not link[zb] & base:
+        return {}
+    # pi squared is in every candidate, so its conditions bind them all.
+    within = local(link[zb])
+    meet_all = [local(m) for m in (*start_masks, *(w[zb] for w in wit))
+                if not m & base]
+    dead, rules = 0, []
+    for j, e in enumerate(members):
+        zi = inv[e]
+        if zi is None or not link[zi] & base:
+            dead |= 1 << j
+            continue
+        allowed = local(link[zi])
+        meets = [local(w[zi]) for w in wit if not w[zi] & base]
+        if ~allowed & (size - 1) or meets:
+            rules.append((1 << j, allowed, meets))
+
+    tables = []
+    for lo in range(0, len(members), 8):
+        oms, needs = [0], [0]
+        for m in members[lo:lo + 8]:
+            bit = 0 if inv[m] is None else 1 << inv[m]
+            oms += [x | 1 << m for x in oms]
+            needs += [x | bit for x in needs]
+        tables.append((lo, oms, needs))
+    out: dict = {}
+    for lo in range(0, size, CELL_BUDGET):
+        sub = np.arange(lo, min(size, lo + CELL_BUDGET), dtype=np.int64)
+        ok = (sub & (dead | ~within)) == 0
+        for mask in meet_all:
+            ok &= (sub & mask) != 0
+        for bit, allowed, meets in rules:
+            bad = (sub & ~allowed) != 0
+            for mask in meets:
+                bad |= (sub & mask) == 0
+            ok &= ((sub & bit) == 0) | ~bad
+        for s in sub[ok].tolist():
+            om, nd = base, 1 << zb
+            for shift, oms, needs in tables:
+                om |= oms[s >> shift & 255]
+                nd |= needs[s >> shift & 255]
+            out[om] = nd
+    return out
 
 
 def _find_certificate(pool: list, need: dict, inv) -> Optional[list]:
@@ -469,17 +518,14 @@ def _find_certificate(pool: list, need: dict, inv) -> Optional[list]:
     closed under inverses and pairwise linked in both directions.
 
     Relies on the pool's invariants: every member type has an admissible
-    inverse (``_mask_compatible`` rejects the rest) and ``need[om]`` is the
+    inverse (``_group_pool`` rejects the rest) and ``need[om]`` is the
     mask of those inverses, so ``a`` links to ``b`` iff ``need[a] & b``;
     every member holds pi squared, its own inverse, so it links to itself.
     A selection is inverse-closed iff the union of its needs lies in the
     union of its members.  Otherwise the first missing inverse (members in
-    mask order, their bits ascending) names the candidates, tried in pool
-    order."""
+    mask order, their bits ascending) names the candidates: the pool
+    members that hold it, in pool order, listed when first asked for."""
     by_bit: dict = {}
-    for om in pool:
-        for i in _bits(om):
-            by_bit.setdefault(i, []).append(om)
     seen: set = set()
 
     def search(sel: frozenset, union: int, needs: int) -> Optional[list]:
@@ -490,7 +536,9 @@ def _find_certificate(pool: list, need: dict, inv) -> Optional[list]:
             return sorted(sel)
         miss = next(inv[i] for om in sorted(sel) for i in _bits(om)
                     if not union >> inv[i] & 1)
-        for om in by_bit.get(miss, ()):
+        if miss not in by_bit:
+            by_bit[miss] = [om for om in pool if om >> miss & 1]
+        for om in by_bit[miss]:
             if om not in sel and all(need[om] & o2 and need[o2] & om
                                      for o2 in sel):
                 found = search(sel | {om}, union | om, needs | need[om])
@@ -537,18 +585,27 @@ def tables_satisfy(nf: NormalFormFormula, tables: dict, n: int) -> bool:
     vectorized.  The gammas and delta are evaluated over x1 in chunks, so
     no array has more than about ``CELL_BUDGET`` cells beyond the tables
     (or one x1 slice, if that is larger).  Each is reduced only over the
-    axes it reads: broadcasting to the others would repeat its values."""
+    axes it reads: broadcasting to the others would repeat its values.
+    An atom is a read-only strided view of its table with one axis per
+    variable: the table's x1 axes are cut to the chunk, and a variable
+    that fills several positions steps by the sum of their strides."""
     import numpy as np
+    from numpy.lib.stride_tricks import as_strided
     step = max(1, CELL_BUDGET // max(n, 1) ** nf.ell)
-    rest = [np.arange(n)] * nf.ell
     for lo in range(0, n, step):  # no chunk, so true, on an empty domain
-        grids = np.ix_(np.arange(lo, min(n, lo + step)), *rest)
+        chunk = slice(lo, min(n, lo + step))
 
         def leaf(key):
             name, word = key
             if not word:
                 return np.bool_(tables[name])
-            return tables[name][tuple(grids[i - 1] for i in word)]
+            view = tables[name][tuple(chunk if i == 1 else slice(None)
+                                      for i in word)]
+            shape, strides = [1] * (nf.ell + 1), [0] * (nf.ell + 1)
+            for i, size, stride in zip(word, view.shape, view.strides):
+                shape[i - 1] = size
+                strides[i - 1] += stride
+            return as_strided(view, shape, strides, writeable=False)
 
         cache: dict = {}
         for gamma in nf.gammas:

@@ -71,31 +71,18 @@ def compose(g: Sequence[int], f: Sequence[int]) -> Walk:
     return tuple(g[p - 1] for p in f)
 
 
-def walks(m: int, k: int, end_at: Optional[int] = None) -> Iterator[Walk]:
+@lru_cache(maxsize=None)
+def walks(m: int, k: int, end_at: Optional[int] = None) -> tuple:
     """All adjacent walks of length m with positions in [1, k], optionally
     constrained to end at position ``end_at``.  Deterministic order: start
-    positions ascending, then steps tried stay, left, right."""
-    if m == 0:
-        if end_at is None:
-            yield ()
-        return
-    if k == 0:
-        return
-
-    def extend(prefix: list) -> Iterator[Walk]:
-        if len(prefix) == m:
-            if end_at is None or prefix[-1] == end_at:
-                yield tuple(prefix)
-            return
-        p = prefix[-1]
-        for q in (p, p - 1, p + 1):
-            if 1 <= q <= k:
-                prefix.append(q)
-                yield from extend(prefix)
-                prefix.pop()
-
-    for start in range(1, k + 1):
-        yield from extend([start])
+    positions ascending, then steps tried stay, left, right.  One tuple per
+    (m, k, end_at), built once per process from the walks one shorter."""
+    if end_at is not None:
+        return tuple(f for f in walks(m, k) if f and f[-1] == end_at)
+    if m <= 1:
+        return ((),) if m == 0 else tuple((p,) for p in range(1, k + 1))
+    return tuple(f + (q,) for f in walks(m - 1, k)
+                 for q in (f[-1], f[-1] - 1, f[-1] + 1) if 1 <= q <= k)
 
 
 def surjective_walks(m: int, k: int) -> Iterator[Walk]:

@@ -166,21 +166,24 @@ def test_oracle_models_have_compatible_connectors():
             assert T.compatible(T.connector_of(model, a, keys2), nf)
 
 
-def connector_candidates(nf) -> list:
+def connector_candidates(nf, limit=None) -> list:
     """The connector-types decide_af3 tests for compatibility: per 1-type
     group of admissible 2-types (those entailing every stalled universal
-    instance), each subset that contains pi squared."""
+    instance), each subset that contains pi squared; None when there are
+    more than ``limit``."""
     keys2 = T.sort_keys(T.relevant_atoms(nf.sentence(), 2))
     stalls = [S.substitute_walk(nf.delta, f) for f in W.walks(3, 2)]
     groups: dict = {}
     for t in T.enumerate_types(keys2):
         if all(t.entails(inst) for inst in stalls):
             groups.setdefault(T.restrict_to_ones(t), []).append(t)
+    wide = [(T.one_type_squared(pi, keys2), members)
+            for pi, members in groups.items()
+            if T.one_type_squared(pi, keys2) in members]
+    if limit is not None and sum(1 << len(m) - 1 for _, m in wide) > limit:
+        return None
     out = []
-    for pi, members in groups.items():
-        pi2 = T.one_type_squared(pi, keys2)
-        if pi2 not in members:
-            continue
+    for pi2, members in wide:
         rest = [t for t in members if t != pi2]
         for r in range(len(rest) + 1):
             out += [T.ConnectorType(frozenset([pi2, *c]))
@@ -202,22 +205,61 @@ UNSAT_PROBE = (["!r(x2,x2) & r(x3,x2) & !r(x2,x1)"],
                "(!r(x2,x1) | p(x1) | !r(x1,x2)) & (!r(x2,x1) | !p(x1))", False)
 
 
-def test_pool_matches_reference_compatibility():
-    """The bitmask test of decide_af3 (start, link and witness tables)
-    accepts exactly the candidates that aftypes.compatible accepts."""
-    checked = 0
-    for gs, d, _expect in AF3_CORPUS + [WITNESS_PROBE, LINK_PROBE]:
-        nf = X.normalize(S.parse(nf_text(gs, d, 2)))
-        candidates = connector_candidates(nf)
-        if len(candidates) > 300:
-            continue
-        trace: list = []
+# A sentence with 1-type groups of ten members besides pi squared, so
+# that the candidate masks of decide_af3 have a second byte (1,040
+# candidates, 10 compatible, 4 of them holding a member of the second byte).
+WIDE_PROBE = (["r(x1,x2)", "r(x3,x2) -> r(x1,x1)"], "p(x1) -> r(x1,x2)", True)
+# A sentence whose pool is wrong when the start masks are ignored: at
+# x1 = x2 the witness must satisfy t(x2,x2,x3), which delta forbids (8
+# candidates, none compatible; all 8 without the start masks).  Found in
+# about one of 1,200 random width-2 draws.
+START_PROBE = (["t(x2,x2,x3) | t(x1,x2,x3)"], "!t(x1,x2,x1) & !t(x2,x2,x3)",
+               False)
+
+
+def decided_pool(nf) -> tuple:
+    """decide_af3's trace and the set of compatible connector-types it
+    hands to the certificate search, named as sets of admissible types."""
+    keys2, codes = X._typed_keys(nf, T.DEFAULT_ATOM_CAP, "decide_af3")
+    admissible = [T.type_at(keys2, i) for i in codes.tolist()]
+    needs = []
+    real = X._find_certificate
+
+    def spy(pool, need, inv):
+        needs.append(need)
+        return real(pool, need, inv)
+
+    trace: list = []
+    with mock.patch.object(X, "_find_certificate", spy):
         X.decide_af3(nf, trace=trace)
-        pool = next(row["compatible"] for row in trace
-                    if row["stage"] == "pool")
-        assert pool == sum(T.compatible(om, nf) for om in candidates)
+    named = {T.ConnectorType(frozenset(admissible[i] for i in X._bits(om)))
+             for om in needs[0]}
+    return trace, named
+
+
+def assert_pool_matches_reference(nf, candidates):
+    trace, pool = decided_pool(nf)
+    reference = {om for om in candidates if T.compatible(om, nf)}
+    assert pool == reference
+    assert [row["compatible"] for row in trace
+            if row["stage"] == "pool"] == [len(reference)]
+
+
+def test_pool_matches_reference_compatibility():
+    """The vectorized test of decide_af3 (start, link and witness tables)
+    accepts exactly the candidates that aftypes.compatible accepts, on
+    every sentence of at most 300 candidates and on the probes."""
+    checked = 0
+    probes = [WITNESS_PROBE, LINK_PROBE, WIDE_PROBE, START_PROBE]
+    for gs, d, _expect in AF3_CORPUS + probes:
+        nf = X.normalize(S.parse(nf_text(gs, d, 2)))
+        candidates = connector_candidates(
+            nf, None if (gs, d, _expect) in probes else 300)
+        if candidates is None:
+            continue
+        assert_pool_matches_reference(nf, candidates)
         checked += 1
-    assert checked == 29
+    assert checked == 31
 
 
 def test_pool_respects_start_masks():
@@ -229,6 +271,22 @@ def test_pool_respects_start_masks():
     trace: list = []
     assert not X.decide_af3(nf, trace=trace).satisfiable
     assert [row["compatible"] for row in trace if row["stage"] == "pool"] == [0]
+
+
+def test_pool_rejects_groups_too_wide_for_a_mask():
+    """Eight keys over r and s give 1-type groups of 64 admissible 2-types:
+    past the default pool cap, and with a cap that would admit them, past
+    the 63 members an int64 candidate mask holds; neither wraps."""
+    nf = X.normalize(S.parse(nf_text(["r(x2,x3) & s(x3,x2)"],
+                                     "r(x1,x1) | !r(x1,x1) | s(x1,x1)", 2)))
+    with pytest.raises(S.ResourceError, match=re.escape(
+            f"decide_af3 pool: {1 << 63} candidate connector-types exceeds "
+            f"the cap of {X.DEFAULT_POOL_CAP}")):
+        X.decide_af3(nf)
+    with pytest.raises(S.ResourceError, match=re.escape(
+            "decide_af3 pool: a 1-type group of 64 2-types exceeds the int64 "
+            "mask limit of 63")):
+        X.decide_af3(nf, pool_cap=1 << 70)
 
 
 def test_certificate_matches_reference_coherence():
@@ -256,6 +314,63 @@ def test_certificate_matches_reference_coherence():
         unsat_with_pool += bool(pool) and not res.satisfiable
     assert exhausted == 21
     assert unsat_with_pool >= 1
+
+
+def eager_find_certificate(pool: list, need: dict, inv):
+    """The certificate search with every pool member indexed by each of its
+    bits before the search starts: the reference for the lazy index of
+    ``X._find_certificate``."""
+    by_bit: dict = {}
+    for om in pool:
+        for i in X._bits(om):
+            by_bit.setdefault(i, []).append(om)
+    seen: set = set()
+
+    def search(sel, union, needs):
+        if sel in seen:
+            return None
+        seen.add(sel)
+        if not needs & ~union:
+            return sorted(sel)
+        miss = next(inv[i] for om in sorted(sel) for i in X._bits(om)
+                    if not union >> inv[i] & 1)
+        for om in by_bit.get(miss, ()):
+            if om not in sel and all(need[om] & o2 and need[o2] & om
+                                     for o2 in sel):
+                found = search(sel | {om}, union | om, needs | need[om])
+                if found is not None:
+                    return found
+        return None
+
+    for seed in pool:
+        found = search(frozenset([seed]), seed, need[seed])
+        if found is not None:
+            return found
+    return None
+
+
+def assert_search_matches_eager(nf):
+    """decide_af3 hands the search its pool in (popcount, mask) order, and
+    the lazy search returns the certificate of the eager reference."""
+    searches = []
+    real = X._find_certificate
+
+    def spy(pool, need, inv):
+        assert pool == sorted(pool, key=lambda m: (m.bit_count(), m))
+        found = real(pool, need, inv)
+        searches.append((found, eager_find_certificate(pool, need, inv)))
+        return found
+
+    with mock.patch.object(X, "_find_certificate", spy):
+        X.decide_af3(nf)
+    [(lazy, eager)] = searches
+    assert lazy == eager
+
+
+def test_lazy_certificate_search_matches_eager():
+    for gs, d, _expect in AF3_CORPUS + [WITNESS_PROBE, LINK_PROBE,
+                                        UNSAT_PROBE, WIDE_PROBE]:
+        assert_search_matches_eager(X.normalize(S.parse(nf_text(gs, d, 2))))
 
 
 def test_build_model_is_verified():
@@ -499,6 +614,60 @@ def test_verify_normal_form_chunk_boundary(monkeypatch, budget):
         assert X.verify_normal_form(nf, model) == M.evaluate(model, f) == expected
 
 
+def late_flips(model):
+    """The model's tables, then each with one fact flipped at an element
+    past the first: on the diagonal and, for a binary predicate, against
+    element 0 both ways."""
+    n = len(model.domain)
+    yield model.tables
+    for name, table in model.tables.items():
+        for e in (1, n // 2, n - 1):
+            for cell in [(e,) * table.ndim] + ([(e, 0), (0, e)]
+                                               if table.ndim == 2 else []):
+                flipped = table.copy()
+                flipped[cell] = not flipped[cell]
+                yield {**model.tables, name: flipped}
+
+
+@pytest.mark.parametrize("gammas,delta", [
+    AF3_CORPUS[10][:2],
+    (["r(x2,x3) & !r(x3,x3)"], "!r(x2,x2) | !r(x1,x2) | r(x1,x1)")],
+    ids=["af3-11", "diagonals"])
+def test_decider_and_model_check_across_chunks(monkeypatch, gammas, delta):
+    """A cell budget of 1,000 splits each of AF3 entry 11's 1-type groups
+    (2,048 candidates) into three chunks and the model check's x1 walk into
+    one element per chunk; the trace, certificate and model are those of
+    the default budget, under which the check already walks entry 11's
+    270 elements in chunks of 14.  Atoms that repeat a variable, r(x1,x1),
+    r(x2,x2) and r(x3,x3), are read in chunks that start past 0, and every
+    verdict on the model and its flipped variants is evaluate's on the
+    named model."""
+    f = S.parse(nf_text(gammas, delta, 2))
+    nf = X.normalize(f)
+    whole = X.decide_af3(nf, want_model=True)
+    model = whole.id_model
+    n = len(model.domain)
+    variants = list(late_flips(model))
+    verdicts = [X.tables_satisfy(nf, t, n) for t in variants]
+    assert verdicts == [M.evaluate(X.IdModel(model.domain, t).named(), f)
+                        for t in variants]
+    assert verdicts[0] and not all(verdicts)
+
+    def rows(trace):
+        return [{k: v for k, v in row.items() if k != "millis"}
+                for row in trace]
+
+    monkeypatch.setattr(X, "CELL_BUDGET", 1000)
+    assert X.CELL_BUDGET < n ** 2
+    chunked = X.decide_af3(nf, want_model=True)
+    assert rows(chunked.trace) == rows(whole.trace)
+    assert chunked.certificate == whole.certificate
+    assert chunked.id_model.domain == model.domain
+    assert all(np.array_equal(chunked.id_model.tables[name], table)
+               for name, table in model.tables.items())
+    assert [X.tables_satisfy(nf, t, n) for t in variants] == verdicts
+
+
 def test_af4_corpus_normalizes_in_place():
     for gs, d, _expect in AF4_CORPUS:
         nf = X.normalize(S.parse(nf_text(gs, d, 3)))
@@ -611,8 +780,8 @@ def qf_over(atoms):
 
 
 @st.composite
-def normal_forms(draw):
-    ell = draw(st.sampled_from([2, 2, 3]))
+def normal_forms(draw, ells=(2, 2, 3)):
+    ell = draw(st.sampled_from(ells))
     preds = draw(st.sampled_from(["prq", "pr", "tq", "ptq"] if ell == 2
                                  else ["prq", "pr"]))
     formulas = qf_over(nf_atoms(preds, ell))
@@ -641,3 +810,23 @@ def test_stage_tables_match_reference_on_random_sentences(nf, budget, data):
 def test_adjacent_closure_matches_all_walks_on_random_sentences(nf):
     """Random normal forms of width 2 and 3 (see ``distinct_closure``)."""
     assert X.adjacent_closure(nf) == distinct_closure(nf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nf=normal_forms(ells=[2]))
+def test_pool_matches_reference_on_random_sentences(nf):
+    """Random width-2 normal forms of at most 300 candidates."""
+    candidates = connector_candidates(nf, 300)
+    if candidates is not None:
+        assert_pool_matches_reference(nf, candidates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nf=normal_forms(ells=[2]))
+def test_lazy_certificate_search_matches_eager_on_random_sentences(nf):
+    """Random width-2 normal forms; a tripped pool cap leaves nothing to
+    compare."""
+    try:
+        assert_search_matches_eager(nf)
+    except S.ResourceError:
+        pass

@@ -36,6 +36,43 @@ def test_walks_small():
         assert W.is_surjective(f, 2)
 
 
+def recursive_walks(m, k, end_at=None):
+    """The depth-first enumeration of adjacent walks: the reference for the
+    cached ``W.walks``."""
+    if m == 0:
+        if end_at is None:
+            yield ()
+        return
+    if k == 0:
+        return
+
+    def extend(prefix):
+        if len(prefix) == m:
+            if end_at is None or prefix[-1] == end_at:
+                yield tuple(prefix)
+            return
+        p = prefix[-1]
+        for q in (p, p - 1, p + 1):
+            if 1 <= q <= k:
+                prefix.append(q)
+                yield from extend(prefix)
+                prefix.pop()
+
+    for start in range(1, k + 1):
+        yield from extend([start])
+
+
+def test_walks_match_recursive_enumeration():
+    """One cached tuple per (m, k, end_at), equal to the recursive
+    enumeration in order, also for end positions outside [1, k]."""
+    for m, k in itertools.product(range(7), range(5)):
+        for end_at in [None, *range(0, k + 2)]:
+            got = W.walks(m, k, end_at)
+            assert isinstance(got, tuple)
+            assert got == tuple(recursive_walks(m, k, end_at)), (m, k, end_at)
+            assert W.walks(m, k, end_at) is got
+
+
 def test_apply_walk_and_compose():
     w = W.word("abcde")
     assert W.apply_walk(w, (2, 3, 4)) == W.word("bcd")
