@@ -331,7 +331,10 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     The candidates of each 1-type group, pi squared plus any subset of the
     group's other admissible 2-types, count against ``pool_cap`` and are
     tested together by ``_group_pool``; a group of more than 63 members
-    raises ``ResourceError`` whatever the cap."""
+    raises ``ResourceError`` whatever the cap.  The type filter applies
+    delta on every triple over a pair, so the admissible 2-types are closed
+    under inverse and every 1-type group holds pi squared: both are looked
+    up in ``index`` without a fallback."""
     if nf.ell != 2:
         raise FormulaError("the decider handles 3-variable normal form")
     trace = trace if trace is not None else []
@@ -339,7 +342,7 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     keys2, codes = _typed_keys(nf, atom_cap, "decide_af3")
     admissible = [T.type_at(keys2, i) for i in codes.tolist()]
     index = {t: i for i, t in enumerate(admissible)}
-    inv = [index.get(t.inverse(2)) for t in admissible]
+    inv = [index[t.inverse(2)] for t in admissible]
     trace.append({"stage": "types", "count": 1 << len(keys2),
                   "admissible": len(admissible)})
 
@@ -365,9 +368,7 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     need: dict = {}
     budget = pool_cap
     for pi in sorted(groups, key=lambda p: p.bits):
-        pi2 = index.get(T.one_type_squared(pi, keys2))
-        if pi2 is None or not groups[pi] >> pi2 & 1:
-            continue
+        pi2 = index[T.one_type_squared(pi, keys2)]
         rest = groups[pi] ^ 1 << pi2
         width = rest.bit_count()
         if (1 << width) > budget:
@@ -452,8 +453,10 @@ def _group_pool(pi2: int, rest: int, inv, start_masks, wit, link) -> dict:
     ``pi2``) plus a submask of ``rest``, each mapped to its inverse mask, in
     ascending order.  omega is compatible iff (i) it meets every start
     mask, and for each member e (ii) it meets ``wit[g][inv e]`` for every g
-    and (iii) ``link[inv e]`` holds all of omega; a member without an
-    admissible inverse rules out every omega that holds it.
+    and (iii) ``link[inv e]`` holds all of omega.  For e = pi squared these
+    hold whenever (i) does, and pi squared lies in every ``link[inv e]``:
+    an admissible eta on (a, b) extends to the 3-type of (a, a, b), which
+    satisfies gamma exactly when eta lies in gamma's start mask.
 
     Each candidate is held as an int64 local mask over the members of
     ``rest`` (bit j is the j-th lowest), so the conditions are vector
@@ -467,19 +470,10 @@ def _group_pool(pi2: int, rest: int, inv, start_masks, wit, link) -> dict:
     def local(mask: int) -> int:
         return sum(1 << j for j, m in enumerate(members) if mask >> m & 1)
 
-    zb = inv[pi2]
-    if zb is None or not link[zb] & base:
-        return {}
-    # pi squared is in every candidate, so its conditions bind them all.
-    within = local(link[zb])
-    meet_all = [local(m) for m in (*start_masks, *(w[zb] for w in wit))
-                if not m & base]
-    dead, rules = 0, []
+    meet_all = [local(m) for m in start_masks if not m & base]
+    rules = []
     for j, e in enumerate(members):
         zi = inv[e]
-        if zi is None or not link[zi] & base:
-            dead |= 1 << j
-            continue
         allowed = local(link[zi])
         meets = [local(w[zi]) for w in wit if not w[zi] & base]
         if ~allowed & (size - 1) or meets:
@@ -489,14 +483,13 @@ def _group_pool(pi2: int, rest: int, inv, start_masks, wit, link) -> dict:
     for lo in range(0, len(members), 8):
         oms, needs = [0], [0]
         for m in members[lo:lo + 8]:
-            bit = 0 if inv[m] is None else 1 << inv[m]
             oms += [x | 1 << m for x in oms]
-            needs += [x | bit for x in needs]
+            needs += [x | 1 << inv[m] for x in needs]
         tables.append((lo, oms, needs))
     out: dict = {}
     for lo in range(0, size, CELL_BUDGET):
         sub = np.arange(lo, min(size, lo + CELL_BUDGET), dtype=np.int64)
-        ok = (sub & (dead | ~within)) == 0
+        ok = np.ones(len(sub), dtype=bool)
         for mask in meet_all:
             ok &= (sub & mask) != 0
         for bit, allowed, meets in rules:
@@ -505,7 +498,7 @@ def _group_pool(pi2: int, rest: int, inv, start_masks, wit, link) -> dict:
                 bad |= (sub & mask) == 0
             ok &= ((sub & bit) == 0) | ~bad
         for s in sub[ok].tolist():
-            om, nd = base, 1 << zb
+            om, nd = base, base
             for shift, oms, needs in tables:
                 om |= oms[s >> shift & 255]
                 nd |= needs[s >> shift & 255]
@@ -517,10 +510,11 @@ def _find_certificate(pool: list, need: dict, inv) -> Optional[list]:
     """Smallest-first search for a non-empty subset of the pool that is
     closed under inverses and pairwise linked in both directions.
 
-    Relies on the pool's invariants: every member type has an admissible
-    inverse (``_group_pool`` rejects the rest) and ``need[om]`` is the
-    mask of those inverses, so ``a`` links to ``b`` iff ``need[a] & b``;
-    every member holds pi squared, its own inverse, so it links to itself.
+    Relies on the pool's invariants: ``need[om]`` is the mask of the
+    inverses of om's members, so ``a`` links to ``b`` iff ``need[a] & b``,
+    which is non-zero iff ``need[b] & a`` is because taking the inverse is
+    an involution; every member holds pi squared, its own inverse, so it
+    links to itself.
     A selection is inverse-closed iff the union of its needs lies in the
     union of its members.  Otherwise the first missing inverse (members in
     mask order, their bits ascending) names the candidates: the pool
@@ -539,8 +533,7 @@ def _find_certificate(pool: list, need: dict, inv) -> Optional[list]:
         if miss not in by_bit:
             by_bit[miss] = [om for om in pool if om >> miss & 1]
         for om in by_bit[miss]:
-            if om not in sel and all(need[om] & o2 and need[o2] & om
-                                     for o2 in sel):
+            if om not in sel and all(need[om] & o2 for o2 in sel):
                 found = search(sel | {om}, union | om, needs | need[om])
                 if found is not None:
                     return found

@@ -237,6 +237,22 @@ def decided_pool(nf) -> tuple:
     return trace, named
 
 
+@pytest.fixture
+def memo_consistent(monkeypatch):
+    """``aftypes.consistent`` behind a memo for one test: the references
+    ask the same (zeta, eta, gamma) question for every candidate that
+    holds eta."""
+    real, memo = T.consistent, {}
+
+    def consistent(parts, cap=T.DEFAULT_ATOM_CAP):
+        key = (tuple(parts), cap)
+        if key not in memo:
+            memo[key] = real(parts, cap)
+        return memo[key]
+
+    monkeypatch.setattr(T, "consistent", consistent)
+
+
 def assert_pool_matches_reference(nf, candidates):
     trace, pool = decided_pool(nf)
     reference = {om for om in candidates if T.compatible(om, nf)}
@@ -245,7 +261,7 @@ def assert_pool_matches_reference(nf, candidates):
             if row["stage"] == "pool"] == [len(reference)]
 
 
-def test_pool_matches_reference_compatibility():
+def test_pool_matches_reference_compatibility(memo_consistent):
     """The vectorized test of decide_af3 (start, link and witness tables)
     accepts exactly the candidates that aftypes.compatible accepts, on
     every sentence of at most 300 candidates and on the probes."""
@@ -289,7 +305,59 @@ def test_pool_rejects_groups_too_wide_for_a_mask():
         X.decide_af3(nf, pool_cap=1 << 70)
 
 
-def test_certificate_matches_reference_coherence():
+def assert_two_type_invariants(nf) -> int:
+    """The facts decide_af3 relies on, on its own tables: (A) the
+    admissible 2-types are closed under inverse; (B) every 1-type group
+    holds pi squared, its own inverse; (C) link[pi squared] holds the whole
+    group and every link[inv e] holds pi squared; (D) within the group,
+    each start mask lies in wit[g][pi squared].  Returns the group count."""
+    keys2, codes = X._typed_keys(nf, T.DEFAULT_ATOM_CAP, "decide_af3")
+    admissible = [T.type_at(keys2, i) for i in codes.tolist()]
+    index = {t: i for i, t in enumerate(admissible)}
+    assert all(t.inverse(2) in index for t in admissible)
+    inv = [index[t.inverse(2)] for t in admissible]
+    starts, = T.truth_tables([], keys2, walks=((1, 1, 2),),
+                             extras=[[g] for g in nf.gammas])
+    start_masks = [X._masks(t, codes)[0] for t in starts]
+    chunks = X._link_tables(nf, keys2, codes, T.DEFAULT_ATOM_CAP,
+                            "link/witness tables")
+    link, *wit = [sum((X._masks(t, codes) for t in tables), [])
+                  for tables in zip(*chunks)] or [[]]
+    groups: dict = {}
+    for i, t in enumerate(admissible):
+        pi = T.restrict_to_ones(t)
+        groups[pi] = groups.get(pi, 0) | 1 << i
+    for pi, group in groups.items():
+        pi2 = index[T.one_type_squared(pi, keys2)]
+        assert group >> pi2 & 1 and inv[pi2] == pi2
+        assert link[pi2] & group == group
+        assert all(link[inv[e]] >> pi2 & 1 for e in X._bits(group))
+        assert all(s & group & ~w[pi2] == 0 for s, w in zip(start_masks, wit))
+    return len(groups)
+
+
+def test_decider_two_type_invariants():
+    """An admissible eta on (a, b) extends to the 3-type of (a, a, b): the
+    type filter applies delta on every triple over the pair.  So (A)-(D)
+    of ``assert_two_type_invariants`` hold on the AF3 corpus, the probes,
+    the reduced AF4 entries within the atom cap and random width-2
+    sentences, and ``_group_pool`` does not test them."""
+    sentences = [X.normalize(S.parse(nf_text(gs, d, 2)))
+                 for gs, d, _ in AF3_CORPUS + [WITNESS_PROBE, LINK_PROBE,
+                                               WIDE_PROBE, START_PROBE]]
+    sentences += [X.reduce_step(X.normalize(S.parse(nf_text(gs, d, 3))))
+                  for i, (gs, d, _) in enumerate(AF4_CORPUS, 1) if i != 7]
+    assert sum(map(assert_two_type_invariants, sentences)) == 61  # groups
+
+    @settings(max_examples=60, deadline=None)
+    @given(nf=normal_forms(ells=[2]))
+    def random_sentences(nf):
+        assert_two_type_invariants(nf)
+
+    random_sentences()
+
+
+def test_certificate_matches_reference_coherence(memo_consistent):
     """Every certificate is a coherent set of compatible connector-types;
     where the reference pool (compatible candidates) has at most 12
     members, the verdict is SAT iff some non-empty subset is coherent."""
@@ -545,6 +613,20 @@ def test_decide_five_variables(delta, expect):
 def test_decide_five_variable_model():
     f = S.parse(nf_text(["r(x4,x5)"], "r(x1,x2)", 4))
     res = X.decide(f, want_model=True)
+    assert X.tables_satisfy(X.normalize(f), res.id_model.tables,
+                            len(res.id_model.domain))
+
+
+@pytest.mark.xfail(raises=S.ResourceError, strict=True,
+                   reason="ROADMAP item 3: the pool enumerates every subset "
+                   "of a 1-type group and trips the pool cap")
+def test_guarded_sentence_decides():
+    """A guarded two-variable sentence with a one-element model."""
+    f = S.fo2_to_af(S.parse(
+        "exists u (p(u) & forall v (r(u,v) -> exists u (r(v,u) & !p(u))))"))
+    assert X.brute_force_sat(f, max_n=2) is not None
+    res = X.decide(f, want_model=True)
+    assert res.satisfiable
     assert X.tables_satisfy(X.normalize(f), res.id_model.tables,
                             len(res.id_model.domain))
 
