@@ -61,6 +61,13 @@ class Structure:
             raise SemanticsError(f"predicate {name}/{len(args)} not interpreted")
         return args in self.extensions[key]
 
+    @functools.cached_property
+    def _guard_tables(self) -> dict:
+        """The evaluator's guard match tables, kept for the life of the
+        structure: guard pattern -> (the extension it was read from, the
+        table)."""
+        return {}
+
 
 def make_structure(domain: Sequence, extensions: Mapping) -> Structure:
     exts = {k: frozenset(map(tuple, v)) for k, v in extensions.items()}
@@ -270,11 +277,13 @@ def evaluate(s: Structure, f: Formula,
     occurrence reads the slot of its innermost binder, so shadowing is
     settled at compile time.  A guarded quantifier, ``forall xs (g -> phi)``
     or ``exists xs (g & phi)`` with an atom g on every variable of xs, ranges
-    only over the matches of g: they are looked up in an index of g's
+    only over the matches of g: they are looked up in a table of g's
     extension keyed on its bound argument positions, built on first use and
-    shared for the call.  When phi is one atom over g's variables, phi is
-    tested on the image of the matches in one C-level pass, so a sentence
-    such as ``forall xs (F(xs) -> F(perm xs))`` is one containment test.
+    kept with the structure, so later calls reuse it while g's extension is
+    the same frozenset.  When phi is one atom over g's variables, phi is
+    tested on the image of the matches, zipped from the table's columns, in
+    one C-level pass, so a sentence such as ``forall xs (F(xs) -> F(perm
+    xs))`` is one containment test, and ``forall xs (F(xs) -> F(xs))`` none.
     Every other quantifier enumerates the domain, except that one whose
     variable is not free in its body evaluates the body once.  An unbound
     variable or an uninterpreted predicate raises ``SemanticsError`` when
@@ -286,26 +295,34 @@ def evaluate(s: Structure, f: Formula,
     return _Compiler(s).run(f, env)
 
 
+def _and(left, right):
+    return lambda env: left(env) and right(env)
+
+
+def _or(left, right):
+    return lambda env: left(env) or right(env)
+
+
 def _connective(parts: list, stop: bool):
     """And (``stop`` False) or Or (``stop`` True) of compiled parts, left to
-    right, stopping at the first part that decides it."""
-    def test(env):
-        for part in parts:
-            if part(env) == stop:
-                return stop
-        return not stop
-    return test
+    right, stopping at the first part that decides it: a fold of
+    short-circuit pairs, and one part is itself."""
+    if not parts:
+        return lambda env: not stop
+    return functools.reduce(_or if stop else _and, parts)
 
 
 class _Compiler:
     """Compiles a formula against one structure into nested closures that
-    take the environment list; one per ``evaluate`` call."""
+    take the environment list; one per ``evaluate`` call.  Guard tables
+    are kept with a ``Structure``, which does not change; a
+    ``LayeredStructure`` can, so its tables last for the call."""
 
     def __init__(self, s):
         self.s = s
         self.exts = s.extensions
         self.size = 0
-        self.indexes: dict = {}
+        self.tables = s._guard_tables if isinstance(s, Structure) else {}
 
     def run(self, f: Formula, assignment: dict) -> bool:
         scope = {name: i for i, name in enumerate(assignment)}
@@ -329,18 +346,38 @@ class _Compiler:
             return functools.partial(self.s.holds, f.pred)
         return ext.__contains__
 
-    def matches(self, guard: Atom, bound: tuple, row_vars: tuple, scope: dict):
+    def table(self, guard: Atom, bound: tuple, row_vars: tuple, columns: bool):
+        """``_guard_index`` of the guard, or with ``columns`` each of its
+        match sets as (count, its columns); reused while the guard's
+        extension is the frozenset it was built from."""
+        key = (guard.pred, guard.args, bound, row_vars, columns)
+        ext = self.exts.get((guard.pred, guard.arity))
+        entry = self.tables.get(key)
+        if entry is not None and entry[0] is ext:
+            return entry[1]
+        if columns:
+            index = {k: (len(rows), tuple(zip(*rows))) for k, rows in
+                     self.table(guard, bound, row_vars, False).items()}
+        else:
+            index = _guard_index(self.exts, guard, bound, row_vars)
+        if type(ext) is frozenset:
+            self.tables[key] = (ext, index)
+        return index
+
+    def matches(self, guard: Atom, bound: tuple, row_vars: tuple, scope: dict,
+                columns: bool = False):
         """The function taking an environment to the ``row_vars`` values of
-        the guard's matches at the bound variables' values."""
-        key = (guard.pred, guard.args, bound, row_vars)
+        the guard's matches at the bound variables' values: a set of rows,
+        or with ``columns`` their (count, columns)."""
         key_of = _getter([scope[a] for a in bound])
-        indexes, exts = self.indexes, self.exts
+        empty = (0, ()) if columns else ()
+        index = None
 
         def rows(env):
-            index = indexes.get(key)
+            nonlocal index
             if index is None:
-                index = indexes[key] = _guard_index(exts, guard, bound, row_vars)
-            return index.get(key_of(env), ())
+                index = self.table(guard, bound, row_vars, columns)
+            return index.get(key_of(env), empty)
         return rows
 
     def compile(self, f: Formula, scope: dict):
@@ -403,13 +440,7 @@ class _Compiler:
         bound = tuple(dict.fromkeys(a for a in guard.args if a not in chain))
         if (len(rest) == 1 and isinstance(rest[0], Atom)
                 and set(rest[0].args) <= set(guard.args)):
-            # The atom's arguments are read off each match of the guard.
-            variables = tuple(dict.fromkeys(guard.args))
-            rows = self.matches(guard, bound, variables, scope)
-            image = _getter([variables.index(a) for a in rest[0].args])
-            member = self.member(rest[0])
-            test = any if stop else all
-            return lambda env: test(map(member, map(image, rows(env))))
+            return self.one_atom(guard, bound, rest[0], stop, scope)
         quantified = tuple(dict.fromkeys(a for a in guard.args if a in chain))
         inner_scope = self.slots(quantified, scope)
         lo = inner_scope[quantified[0]]
@@ -422,6 +453,37 @@ class _Compiler:
                 if body(env) == stop:
                     return stop
             return not stop
+        return quantify
+
+    def one_atom(self, guard: Atom, bound: tuple, atom: Atom, stop: bool,
+                 scope: dict):
+        """The guarded quantifier whose body is one atom over the guard's
+        variables: the atom's argument tuples are zipped from the columns
+        of the guard's matches, as many as there are matches, and tested
+        all at once.  The guard itself holds at each of its matches."""
+        variables = tuple(dict.fromkeys(guard.args))
+        matches = self.matches(guard, bound, variables, scope, columns=True)
+        if atom == guard:
+            return lambda env: matches(env)[0] > 0 or not stop
+        columns = _getter([variables.index(a) for a in atom.args])
+        ext = self.exts.get((atom.pred, atom.arity))
+        if ext is None or isinstance(self.s, LayeredStructure):
+            member, test = self.member(atom), any if stop else all
+
+            def contains(images):
+                return test(map(member, images))
+        elif stop:
+            def contains(images):
+                return not ext.isdisjoint(images)
+        else:
+            contains = ext.issuperset
+
+        def quantify(env):
+            count, cols = matches(env)
+            if not count:
+                return not stop
+            return contains(zip(*columns(cols)) if atom.args
+                            else itertools.repeat((), count))
         return quantify
 
 

@@ -284,3 +284,24 @@ def test_check_conjuncts_memo_matches_whole_conjuncts_on_faults(
         monkeypatch, enc, M.Structure(structure.domain, exts))
     assert not report["pass"]
     assert len(calls) == len(set(calls)) and set(calls) <= set(_parts(enc))
+
+
+@pytest.mark.parametrize("machine", ["hop", "fork"])
+def test_check_conjuncts_builds_each_guard_table_once(monkeypatch, machine):
+    # The closure parts of both saturation sentences of F_n and the other
+    # conjuncts guarded by F_n read one table of F_n.
+    status, tree = H.simulate_atm(_machine(machine), "111")
+    assert status == "accept"
+    builds = []
+    guard_index = M._guard_index
+
+    def counting(exts, guard, bound, row_vars):
+        builds.append((guard.pred, guard.args, bound, row_vars))
+        return guard_index(exts, guard, bound, row_vars)
+
+    monkeypatch.setattr(M, "_guard_index", counting)
+    report = H.check_conjuncts(H.encode_atm(_machine(machine), "111"),
+                               H.embed_and_expand(tree, 3))
+    assert report["pass"]
+    assert any(pred == H.F_N for pred, *_ in builds)
+    assert len(builds) == len(set(builds))

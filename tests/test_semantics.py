@@ -465,3 +465,64 @@ def test_one_atom_guarded_quantifiers_match_naive_oracle(data):
         lay = M.layered_from_structure(s, _layer_width(f))
         assert M.evaluate_layered(lay, f, assignment) == expected
         assert lay.overbound_queries == 0
+
+
+# ---------------------------------------------------------------------------
+# Guard tables kept with the structure
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_guard_tables_reused_across_calls_match_naive_oracle(data):
+    """Several guarded sentences in turn on one Structure object, so later
+    calls read the guard tables earlier ones built."""
+    s = data.draw(structures())
+    fs = data.draw(st.lists(st.one_of(one_atom_guarded(), guarded(formulas)),
+                            min_size=2, max_size=5))
+    assignment = tuple(data.draw(st.lists(st.sampled_from(s.domain),
+                                          min_size=len(VARS),
+                                          max_size=len(VARS))))
+    env = dict(zip(VARS, assignment))
+    for f in fs:
+        assert M.evaluate(s, f, assignment) == naive_evaluate(s, f, env), f
+
+
+def test_zero_ary_image_atom_follows_the_match_count():
+    for p, c in itertools.product([[], [("a",)]], [[], [()]]):
+        s = M.make_structure(["a", "b"], {("p", 1): p, ("c", 0): c})
+        for text in ["forall x1 (p(x1) -> c)", "exists x1 (p(x1) & c)"]:
+            f = S.parse(text)
+            assert M.evaluate(s, f) == naive_evaluate(s, f, {}), (p, c, text)
+
+
+def test_uninterpreted_image_predicate_raises_exactly_on_a_match():
+    f = S.parse("forall x1 forall x2 (r(x1,x2) -> q(x2))")
+    g = S.parse("exists x1 exists x2 (r(x1,x2) & q(x1,x2))")
+    empty = M.make_structure(["a", "b"], {("r", 2): []})
+    full = M.make_structure(["a", "b"], {("r", 2): [("a", "b")]})
+    for _ in range(2):
+        assert M.evaluate(empty, f) and not M.evaluate(empty, g)
+        for h in (f, g):
+            with pytest.raises(M.SemanticsError, match="not interpreted"):
+                M.evaluate(full, h)
+    # An uninterpreted guard raises even when its image is itself.
+    for text in ["forall x1 (p(x1) -> p(x1))", "exists x1 (p(x1) & p(x1))"]:
+        for _ in range(2):
+            with pytest.raises(M.SemanticsError, match="not interpreted"):
+                M.evaluate(empty, S.parse(text))
+
+
+def test_replaced_extension_is_seen_by_the_next_call():
+    s = M.make_structure(["a", "b"], {("r", 2): [("a", "b")],
+                                      ("p", 1): []})
+    texts = ["forall x1 forall x2 (r(x1,x2) -> r(x2,x1))",
+             "forall x1 forall x2 (r(x1,x2) -> r(x2,x1) & p(x1))",
+             "exists x1 (p(x1) & p(x1))",
+             "forall x1 exists x2 (r(x1,x2) & r(x2,x1))"]
+    fs = [S.parse(t) for t in texts]
+    before = [naive_evaluate(s, f, {}) for f in fs]
+    assert [M.evaluate(s, f) for f in fs] == before
+    s.extensions[("r", 2)] = frozenset({("a", "b"), ("b", "a")})
+    s.extensions[("p", 1)] = frozenset({("a",), ("b",)})
+    after = [naive_evaluate(s, f, {}) for f in fs]
+    assert after != before
+    assert [M.evaluate(s, f) for f in fs] == after
