@@ -690,25 +690,27 @@ def build_model(certificate: Sequence, nf: NormalFormFormula, index: dict,
     over the admissible 2-types: the admissible id of each, the admissible
     id of its inverse, and per conjunct the witness mask of each.
 
-    Elements are (connector-type, 2-type, phase, conjunct, placement)
-    index tuples; the placement indices and their fresh-choice function
-    are the verified ones of ``words.small_pair_placement``.  The stages
-    run over element-id arrays: every 2-type of the certificate gets an id
-    in bit order, which is also the order of its admissible id, with its
-    inverse and shifted type computed once, the pair types are an n x n id
-    array, and each stage writes the facts a type fixes on exactly its
-    elements as one array operation per group of pairs or triples that
-    share it: per (connector-type, 2-type) for the unary facts, circular
-    witnessing and the linking fill, per (incoming 2-type, connector-type)
-    for the witnesses, and per (incoming 2-type, outgoing 2-type) for the
-    joining fill, which walks the first element in chunks of about
-    ``CELL_BUDGET`` cells.  A witness's 2-type is read off the decider's
-    witness masks ``wit``; each witnessing or joining 3-type is found once
-    per (incoming 2-type, outgoing 2-type, conjunct) as the first of
-    ``aftypes.satisfying_types``.  The facts are kept in ``_Facts``, two
-    dense boolean tables per predicate (written false, written true): an
-    atom in both is rejected, and the joining fill skips each triple whose
-    atom of one covering key is already written; the model keeps the
+    Elements are (holder[t], 2-type t, phase, conjunct, placement) index
+    tuples in t-major order, holder[t] the first connector-type holding t's
+    inverse, with the verified placement indices and fresh-choice function of
+    ``words.small_pair_placement``.  Every witness lands on such an element,
+    so the domain is closed under witnessing, and the universal part holds in
+    every substructure.  The stages run over element-id arrays: every 2-type
+    of the certificate gets an id in bit order, which is also the order of its
+    admissible id, with its inverse and shifted type computed once, the pair
+    types are an n x n id array, and each stage writes the facts a type fixes
+    on exactly its elements as one array operation per group of pairs or
+    triples that share it: per connector-type for the unary facts, per
+    (connector-type, 2-type) for circular witnessing and the linking fill, per
+    (incoming 2-type, connector-type) for the witnesses, and per (incoming
+    2-type, outgoing 2-type) for the joining fill, which walks the first
+    element in chunks of about ``CELL_BUDGET`` cells.  A witness's 2-type is
+    read off the decider's witness masks ``wit``; each witnessing or joining
+    3-type is found once per (incoming 2-type, outgoing 2-type, conjunct) as
+    the first of ``aftypes.satisfying_types``.  The facts are kept in
+    ``_Facts``, two dense boolean tables per predicate (written false, written
+    true): an atom in both is rejected, and the joining fill skips each triple
+    whose atom of one covering key is already written; the model keeps the
     written-true tables.  A ``model`` row appended to ``trace`` records the
     time, the domain and fact counts and the number of 3-type searches."""
     import numpy as np
@@ -738,19 +740,16 @@ def build_model(certificate: Sequence, nf: NormalFormFormula, index: dict,
     j_size, placement = W.small_pair_placement()
     place = np.array([[placement[(a, b)] for b in range(j_size)]
                       for a in range(j_size)])
-    domain = [(o, t, h, i, j)
-              for o in range(len(omegas)) for t in range(len(two_types))
+    domain = [(holder[t], t, h, i, j) for t in range(len(two_types))
               for h in range(H_SIZE) for i in range(n_gammas)
               for j in range(j_size)]
     n = len(domain)
     # The element (holder[t], t, h, i, j) has id base[t] + h * h_stride +
     # i * j_size + j: the witnesses for t live there.
     h_stride = n_gammas * j_size
-    o_stride = len(two_types) * H_SIZE * h_stride
-    base = [(holder[t] * len(two_types) + t) * H_SIZE * h_stride
-            for t in range(len(two_types))]
+    base = [t * H_SIZE * h_stride for t in range(len(two_types))]
     ids = np.arange(n)
-    o_of = ids // o_stride
+    o_of = np.repeat(holder, H_SIZE * h_stride)
     h_of = ids // h_stride % H_SIZE
     j_of = ids % j_size
 
@@ -761,13 +760,13 @@ def build_model(certificate: Sequence, nf: NormalFormFormula, index: dict,
     for o, om in enumerate(omegas):
         facts.write(_template([(name, (0,) * len(word), value)
                                     for (name, word), value in om.tp.items()]),
-                    ids[o * o_stride:(o + 1) * o_stride])
+                    ids[o_of == o])
 
     # Stage 2: circular witnessing, then a linking fill.  pair[a, b] is the
     # 2-type id of (a, b), -1 on the diagonal.
     pair = np.full((n, n), -1, dtype=np.int32)
     for o, ms in enumerate(members):
-        src = ids[o * o_stride:(o + 1) * o_stride, None]
+        src = ids[o_of == o, None]
         # Each element's witnesses sit in the next phase, at every
         # (conjunct, placement) offset.
         offsets = ((h_of[src] + 1) % H_SIZE * h_stride

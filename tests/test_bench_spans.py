@@ -45,6 +45,6 @@ def test_span_hooks_resolve_and_count_the_model():
         assert wrapped[label] is not fn and wrapped[label].__wrapped__ is fn
         assert layer(label) is fn
     counters, = tracer.item_counters()
-    assert len(res.id_model.domain) == 300
-    assert counters["sat.build_model.elems"] == 300
+    assert len(res.id_model.domain) == 150
+    assert counters["sat.build_model.elems"] == 150
     assert counters["sat.decide_af3.cert_size"] == len(res.certificate)

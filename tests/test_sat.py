@@ -450,6 +450,55 @@ def test_build_model_is_verified():
     assert M.evaluate(res.model, f)
 
 
+def assert_witness_domain(nf, f) -> bool:
+    """When ``nf`` is SAT, its model has one element per (2-type of the
+    certificate, phase, conjunct, placement), each carrying the first
+    connector-type that holds its 2-type's inverse, and both checks accept it;
+    ``evaluate`` (|D|^3 on unguarded sentences) runs on domains of at most
+    100 elements.  Returns whether ``evaluate`` ran."""
+    res = X.decide_af3(nf, want_model=True)
+    if not res.satisfiable:
+        return False
+    omegas = sorted(res.certificate, key=lambda om: om.serialize())
+    two_types = sorted({t for om in omegas for t in om.types},
+                       key=lambda t: t.bits)
+    j_size, _placement = W.small_pair_placement()
+    per_type = X.H_SIZE * max(1, len(nf.gammas)) * j_size
+    domain = res.id_model.domain
+    assert len(domain) == len(two_types) * per_type
+    for e, (o, t, _h, _i, _j) in enumerate(domain):
+        assert t == e // per_type
+        assert two_types[t].inverse(2) in omegas[o].types
+        assert not any(two_types[t].inverse(2) in om.types
+                       for om in omegas[:o])
+    assert X.verify_normal_form(nf, res.model)
+    if len(domain) > 100:
+        return False
+    assert M.evaluate(res.model, f)
+    return True
+
+
+def test_model_domain_is_the_witness_elements():
+    """Models are built on the witness elements only, on the AF3 corpus and
+    on random width-2 normal forms; a tripped cap leaves nothing to
+    check."""
+    evaluated = 0
+    for gs, d, _label in AF3_CORPUS:
+        f = S.parse(nf_text(gs, d, 2))
+        evaluated += assert_witness_domain(X.normalize(f), f)
+    assert evaluated == 16  # all 18 SAT entries but 12 and 19 (150, 120)
+
+    @settings(max_examples=30, deadline=None)
+    @given(nf=normal_forms(ells=[2]))
+    def random_sentences(nf):
+        try:
+            assert_witness_domain(nf, nf.sentence())
+        except S.ResourceError:
+            pass
+
+    random_sentences()
+
+
 @pytest.mark.parametrize("ell,entry", [
     *(pytest.param(2, e, id=f"af3-{i}")
       for i, e in enumerate(AF3_CORPUS, 1) if e[2]),
