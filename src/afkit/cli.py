@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import os
+import signal
 import sys
 from typing import Optional
 
@@ -288,6 +289,9 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # Like any filter, end silently when the reader closes stdout, rather
+    # than report the broken pipe as an input error.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

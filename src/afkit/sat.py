@@ -172,10 +172,9 @@ def normalize(f: Formula) -> NormalFormFormula:
     Satisfiable over exactly the same domains as the input."""
     if S.free_vars(f):
         raise FormulaError("normalization requires a sentence")
-    normal = S.index_normal(f)
-    if normal is None or not S.classify(f).adjacent:
+    f = S.adjacent_form(f)
+    if f is None:
         raise FormulaError("normalization requires an adjacent sentence")
-    f = normal
 
     direct = _as_normal_form(f)
     if direct is not None:

@@ -204,31 +204,6 @@ def complete_signature(s: Structure, signature: Mapping) -> Structure:
 # ---------------------------------------------------------------------------
 # Model checking
 
-def _quantifier_chain(f: Formula):
-    cls = type(f)
-    chain = []
-    while isinstance(f, cls):
-        chain.append(f.var)
-        f = f.body
-    return cls, chain, f
-
-
-def _guarded(cls, chain: list, body: Formula):
-    """The guard atom of ``forall chain (guard -> phi)`` or ``exists chain
-    (... & guard & ...)`` together with the formulas that must hold at each
-    of its matches, or None.  The guard must mention every quantified
-    variable."""
-    if cls is Forall:
-        if (isinstance(body, Implies) and isinstance(body.left, Atom)
-                and set(chain) <= set(body.left.args)):
-            return body.left, (body.right,)
-    elif isinstance(body, And):
-        for i, conj in enumerate(body.args):
-            if isinstance(conj, Atom) and set(chain) <= set(conj.args):
-                return conj, body.args[:i] + body.args[i + 1:]
-    return None
-
-
 def _getter(positions: list):
     """The function taking a tuple to its entries at ``positions``."""
     if len(positions) == 1:
@@ -237,13 +212,12 @@ def _getter(positions: list):
     return operator.itemgetter(*positions) if positions else lambda t: ()
 
 
-def _guard_index(exts: Mapping, guard: Atom, bound: tuple,
-                 row_vars: tuple) -> dict:
-    """Map the values of the bound variables to the set of value tuples of
-    ``row_vars`` (variables of the guard) over the tuples that make the
-    guard true.  A tuple of the extension matches only if it agrees at every
-    repeated variable.  With no bound and no repeated variables, and rows
-    that are whole tuples, the extension itself is the one match set."""
+def _guard_index(exts: Mapping, guard: Atom, bound: tuple) -> dict:
+    """Map the values of the bound variables to the guard's matches there:
+    their count, and their columns, one per distinct variable of the guard
+    in order of first occurrence.  A tuple of the extension matches only if
+    it agrees at every repeated variable, so its row of distinct variables
+    is its own and no two matches share one."""
     ext = exts.get((guard.pred, guard.arity))
     if ext is None:
         raise SemanticsError(f"predicate {guard.pred}/{guard.arity} not interpreted")
@@ -255,16 +229,15 @@ def _guard_index(exts: Mapping, guard: Atom, bound: tuple,
         left = _getter([i for i, _ in repeats])
         right = _getter([j for _, j in repeats])
         ext = [t for t in ext if left(t) == right(t)]
-    elif not bound and row_vars == guard.args:
-        return {(): ext}
-    row_of = _getter([first[a] for a in row_vars])
+    row_of = _getter(list(first.values()))
     if not bound:
-        return {(): set(map(row_of, ext))}
+        rows = list(map(row_of, ext)) if repeats else ext
+        return {(): (len(rows), tuple(zip(*rows)))}
     key_of = _getter([first[a] for a in bound])
     index: dict = {}
     for t in ext:
-        index.setdefault(key_of(t), set()).add(row_of(t))
-    return index
+        index.setdefault(key_of(t), []).append(row_of(t))
+    return {k: (len(rows), tuple(zip(*rows))) for k, rows in index.items()}
 
 
 def evaluate(s: Structure, f: Formula,
@@ -276,14 +249,17 @@ def evaluate(s: Structure, f: Formula,
     list, with a slot per assigned name and per quantifier; each variable
     occurrence reads the slot of its innermost binder, so shadowing is
     settled at compile time.  A guarded quantifier, ``forall xs (g -> phi)``
-    or ``exists xs (g & phi)`` with an atom g on every variable of xs, ranges
-    only over the matches of g: they are looked up in a table of g's
-    extension keyed on its bound argument positions, built on first use and
-    kept with the structure, so later calls reuse it while g's extension is
-    the same frozenset.  When phi is one atom over g's variables, phi is
-    tested on the image of the matches, zipped from the table's columns, in
-    one C-level pass, so a sentence such as ``forall xs (F(xs) -> F(perm
-    xs))`` is one containment test, and ``forall xs (F(xs) -> F(xs))`` none.
+    or ``exists xs (g & phi)`` with an atom g on every variable of xs, as
+    ``syntax.guard_splits`` finds it, ranges only over the matches of g:
+    they are looked up in one table of g's extension keyed on its bound
+    argument positions, holding the match count and one column per
+    distinct variable of g, built on first use and kept with the
+    structure, so later calls reuse it while g's extension is the same
+    frozenset.  The matches are zipped from the quantified variables'
+    columns; when phi is one atom over g's variables, phi is tested on the
+    image of the matches, zipped from the same columns, in one C-level
+    pass, so a sentence such as ``forall xs (F(xs) -> F(perm xs))`` is one
+    containment test, and ``forall xs (F(xs) -> F(xs))`` none.
     Every other quantifier enumerates the domain, except that one whose
     variable is not free in its body evaluates the body once.  An unbound
     variable or an uninterpreted predicate raises ``SemanticsError`` when
@@ -346,39 +322,28 @@ class _Compiler:
             return functools.partial(self.s.holds, f.pred)
         return ext.__contains__
 
-    def table(self, guard: Atom, bound: tuple, row_vars: tuple, columns: bool):
-        """``_guard_index`` of the guard, or with ``columns`` each of its
-        match sets as (count, its columns); reused while the guard's
-        extension is the frozenset it was built from."""
-        key = (guard.pred, guard.args, bound, row_vars, columns)
-        ext = self.exts.get((guard.pred, guard.arity))
-        entry = self.tables.get(key)
-        if entry is not None and entry[0] is ext:
-            return entry[1]
-        if columns:
-            index = {k: (len(rows), tuple(zip(*rows))) for k, rows in
-                     self.table(guard, bound, row_vars, False).items()}
-        else:
-            index = _guard_index(self.exts, guard, bound, row_vars)
-        if type(ext) is frozenset:
-            self.tables[key] = (ext, index)
-        return index
-
-    def matches(self, guard: Atom, bound: tuple, row_vars: tuple, scope: dict,
-                columns: bool = False):
-        """The function taking an environment to the ``row_vars`` values of
-        the guard's matches at the bound variables' values: a set of rows,
-        or with ``columns`` their (count, columns)."""
+    def matches(self, guard: Atom, bound: tuple, scope: dict):
+        """The function taking an environment to the (count, columns) of the
+        guard's matches at the bound variables' values.  The table is built
+        on first use and reused while the guard's extension is the
+        frozenset it was built from."""
         key_of = _getter([scope[a] for a in bound])
-        empty = (0, ()) if columns else ()
         index = None
 
-        def rows(env):
+        def lookup(env):
             nonlocal index
             if index is None:
-                index = self.table(guard, bound, row_vars, columns)
-            return index.get(key_of(env), empty)
-        return rows
+                key = (guard.pred, guard.args, bound)
+                ext = self.exts.get((guard.pred, guard.arity))
+                entry = self.tables.get(key)
+                if entry is not None and entry[0] is ext:
+                    index = entry[1]
+                else:
+                    index = _guard_index(self.exts, guard, bound)
+                    if type(ext) is frozenset:
+                        self.tables[key] = (ext, index)
+            return index.get(key_of(env), (0, ()))
+        return lookup
 
     def compile(self, f: Formula, scope: dict):
         if isinstance(f, Atom):
@@ -429,40 +394,48 @@ class _Compiler:
 
     def quantifier(self, f: Formula, scope: dict):
         """A guarded quantifier over the guard's matches, each written to
-        the chain's slots in turn; any other over the domain."""
-        cls, chain, body = _quantifier_chain(f)
+        the chain's slots in turn; any other over the domain.  The guard is
+        that of the first split whose guard holds the chain's variables,
+        except a body that is one atom, which is left to the domain."""
+        cls, chain, body = syntax.quantifier_block(f)
         stop = cls is Exists
-        guarded = _guarded(cls, chain, body)
+        guarded = next(((guard, rest) for guard, rest
+                        in syntax.guard_splits(cls, body)
+                        if guard is not body and set(chain) <= set(guard.args)),
+                       None)
         if guarded is None or not free_vars(body) <= scope.keys() | set(chain):
             return self.domain_loop(f, stop, scope)
         guard, rest = guarded
         # A quantified variable shadows any outer binding of its name.
         bound = tuple(dict.fromkeys(a for a in guard.args if a not in chain))
+        variables = tuple(dict.fromkeys(guard.args))
+        matches = self.matches(guard, bound, scope)
         if (len(rest) == 1 and isinstance(rest[0], Atom)
                 and set(rest[0].args) <= set(guard.args)):
-            return self.one_atom(guard, bound, rest[0], stop, scope)
-        quantified = tuple(dict.fromkeys(a for a in guard.args if a in chain))
+            return self.one_atom(guard, variables, matches, rest[0], stop)
+        quantified = tuple(a for a in variables if a in chain)
+        columns = _getter([variables.index(a) for a in quantified])
         inner_scope = self.slots(quantified, scope)
         lo = inner_scope[quantified[0]]
         hi = lo + len(quantified)
-        rows = self.matches(guard, bound, quantified, scope)
         body = _connective([self.compile(g, inner_scope) for g in rest], False)
 
         def quantify(env):
-            for env[lo:hi] in rows(env):
-                if body(env) == stop:
-                    return stop
+            count, cols = matches(env)
+            if count:
+                for env[lo:hi] in zip(*columns(cols)):
+                    if body(env) == stop:
+                        return stop
             return not stop
         return quantify
 
-    def one_atom(self, guard: Atom, bound: tuple, atom: Atom, stop: bool,
-                 scope: dict):
+    def one_atom(self, guard: Atom, variables: tuple, matches, atom: Atom,
+                 stop: bool):
         """The guarded quantifier whose body is one atom over the guard's
-        variables: the atom's argument tuples are zipped from the columns
-        of the guard's matches, as many as there are matches, and tested
-        all at once.  The guard itself holds at each of its matches."""
-        variables = tuple(dict.fromkeys(guard.args))
-        matches = self.matches(guard, bound, variables, scope, columns=True)
+        ``variables``: the atom's argument tuples are zipped from the
+        columns of the guard's matches, as many as there are matches, and
+        tested all at once.  The guard itself holds at each of its
+        matches."""
         if atom == guard:
             return lambda env: matches(env)[0] > 0 or not stop
         columns = _getter([variables.index(a) for a in atom.args])
@@ -556,9 +529,8 @@ def evaluate_layered(layer: LayeredStructure, f: Formula,
     matches up in the layer's true facts, every other atom is asked of
     ``LayeredStructure.holds``.  By construction every queried tuple stays
     within the bound."""
-    normal = syntax.index_normal(f)
-    report = syntax.classify(f)
-    if not report.adjacent:
+    normal = syntax.adjacent_form(f)
+    if normal is None:
         raise FormulaError("formula is not adjacent; layered evaluation undefined")
     depth = max((var_index(n) or 0 for n in free_vars(f)), default=0)
     width = max([depth, syntax.max_index(normal)] +

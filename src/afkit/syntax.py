@@ -537,6 +537,15 @@ def _af_levels(f: Formula) -> tuple:
     raise FormulaError("unexpected node in classification")
 
 
+def adjacent_form(f: Formula) -> Optional[Formula]:
+    """The index-normal form of f when f is adjacent, and None otherwise."""
+    normal = index_normal(f)
+    if normal is None:
+        return None
+    lo, hi = _af_levels(normal)
+    return normal if lo <= hi else None
+
+
 def _shape_check(f: Formula, mode: str) -> bool:
     """Suffix (fluted), prefix (ordered), or infix (forward) discipline on an
     index-normal formula."""
@@ -564,39 +573,45 @@ def _shape_check(f: Formula, mode: str) -> bool:
     return rec(f, base)
 
 
-def _guarded(f: Formula) -> bool:
-    def rec(g: Formula) -> bool:
-        if isinstance(g, Atom):
-            return True
-        if isinstance(g, (Not, And, Or, Implies, Iff)):
-            return all(rec(c) for c in children(g))
-        chain = []
-        cls = type(g)
-        h = g
-        while isinstance(h, cls):
-            chain.append(h.var)
-            h = h.body
-        if cls is Forall:
-            if not isinstance(h, Implies) or not isinstance(h.left, Atom):
-                return False
-            guard, body = h.left, h.right
-            needed = set(chain) | set(free_vars(body))
-            return needed <= set(guard.args) and rec(body)
-        if isinstance(h, Atom):
-            return set(chain) <= set(h.args)
-        if isinstance(h, And):
-            for i, conj in enumerate(h.args):
-                if not isinstance(conj, Atom):
-                    continue
-                rest = [c for j, c in enumerate(h.args) if j != i]
-                needed = set(chain)
-                for c in rest:
-                    needed |= free_vars(c)
-                if needed <= set(conj.args) and all(rec(c) for c in rest):
-                    return True
-        return False
+def quantifier_block(f: Formula) -> tuple:
+    """The block of like quantifiers at the top of f: its class (``Forall``
+    or ``Exists``), its variables from the outside in, and its body."""
+    cls, names = type(f), []
+    while isinstance(f, cls):
+        names.append(f.var)
+        f = f.body
+    return cls, names, f
 
-    return rec(f)
+
+def guard_splits(cls, body: Formula) -> Iterator[tuple]:
+    """The candidate ``(guard, rest)`` splits of the body of a ``cls``
+    block, after Andreka, van Benthem and Nemeti: under forall, the
+    antecedent atom of ``g -> phi`` with rest ``(phi,)``; under exists, each
+    atom conjunct with the other conjuncts, or the body itself with no rest
+    when it is one atom.  A split guards the block when its guard mentions
+    the block's variables."""
+    if cls is Forall:
+        if isinstance(body, Implies) and isinstance(body.left, Atom):
+            yield body.left, (body.right,)
+    elif isinstance(body, Atom):
+        yield body, ()
+    elif isinstance(body, And):
+        for i, conj in enumerate(body.args):
+            if isinstance(conj, Atom):
+                yield conj, body.args[:i] + body.args[i + 1:]
+
+
+def _guarded(f: Formula) -> bool:
+    if isinstance(f, Atom):
+        return True
+    if isinstance(f, (Not, And, Or, Implies, Iff)):
+        return all(_guarded(c) for c in children(f))
+    cls, names, body = quantifier_block(f)
+    for guard, rest in guard_splits(cls, body):
+        needed = set(names).union(*map(free_vars, rest))
+        if needed <= set(guard.args) and all(map(_guarded, rest)):
+            return True
+    return False
 
 
 def classify(f: Formula) -> FragmentReport:
@@ -722,6 +737,7 @@ def _clauses(f: Formula, mode: str) -> list:
         return isinstance(g, (Atom, Unit))
 
     inner, outer = (Or, And) if mode == "cnf" else (And, Or)
+    stage = f"{mode.upper()} conversion"
 
     def rec(g: Formula) -> list:
         if is_literal(g):
@@ -731,15 +747,23 @@ def _clauses(f: Formula, mode: str) -> list:
             for c in g.args:
                 out.extend(rec(c))
                 if len(out) > _NODE_CAP:
-                    raise ResourceError("normal-form conversion exceeded node cap")
+                    raise ResourceError(
+                        f"{stage}: {len(out)} clauses exceeds the node cap "
+                        f"of {_NODE_CAP}")
             return out
         if isinstance(g, inner):
             combos = [[]]
             for c in g.args:
                 sub = rec(c)
+                # Checked before the product is built, which can be far
+                # larger than the cap.
+                size = len(combos) * len(sub) * max(1, len(sub))
+                if size > _NODE_CAP:
+                    raise ResourceError(
+                        f"{stage}: the product of {len(combos)} by "
+                        f"{len(sub)} clauses (size {size}) exceeds the node "
+                        f"cap of {_NODE_CAP}")
                 combos = [a + b for a in combos for b in sub]
-                if len(combos) * max(1, len(sub)) > _NODE_CAP:
-                    raise ResourceError("normal-form conversion exceeded node cap")
             return combos
         raise FormulaError("unexpected node during clause conversion")
 
@@ -818,9 +842,8 @@ def af_to_fo2(f: Formula) -> Formula:
         if a.arity > 2:
             raise FormulaError(
                 f"predicate {a.pred} has arity {a.arity}; at most 2 supported")
-    normal = index_normal(f)
-    lo, hi = (1, 0) if normal is None else _af_levels(normal)
-    if lo > hi:
+    normal = adjacent_form(f)
+    if normal is None:
         raise FormulaError("input is not an adjacent formula")
     separated = strip_units(_split_clauses(normal))
     for g in subformulas(separated):

@@ -2,7 +2,12 @@
 
 import hashlib
 import json
+import os
 import re
+import resource
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -343,20 +348,125 @@ def test_oracle_on_u_v_names(capsys, formula_file):
     assert json.loads(out) == {"domain": ["e0"], "predicates": {"r/2": [["e0", "e0"]]}}
 
 
-@pytest.mark.parametrize("text", [
-    '{"domain": ["a"], "predicates": {"p/1": [1]}}',
-    '{"domain": [["a"]]}',
-    '{"domain": ["a"], "predicates": []}',
-    '{"domain": 5}',
-], ids=["tuple-not-list", "list-element", "predicates-list", "domain-number"])
+@pytest.mark.parametrize("text,message", [
+    ('{"domain": ["a"], "predicates": {"p/1": [1]}}',
+     "p/1: tuples are lists of domain elements"),
+    ('{"domain": [["a"]]}', "'domain' must be a list of scalars"),
+    ('{"domain": ["a"], "predicates": []}', "'predicates' must be an object"),
+    ('{"domain": 5}', "'domain' must be a list of scalars"),
+    ('{"predicates": {}}', "structure JSON needs a 'domain' key"),
+    ('{"domain": ["a"], "predicates": {"p": [["a"]]}}',
+     "predicate key 'p' is not 'name/arity'"),
+    ('{"domain": ["a"], "predicates": {"q/0": "yes"}}',
+     "q/0: proposition letters are booleans"),
+    ('{"domain": ["a"], "predicates": {"p/1": [[["a"]]]}}',
+     "p/1: tuples are lists of domain elements"),
+], ids=["tuple-not-list", "list-element", "predicates-list", "domain-number",
+        "no-domain", "key-without-arity", "letter-not-boolean",
+        "nested-tuple"])
 def test_check_rejects_malformed_structure(capsys, formula_file, tmp_path,
-                                           text):
+                                           text, message):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     code, out, err = run(capsys, "check", formula_file("forall x1 p(x1)"),
                          str(bad))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_resource_cap_env_must_be_an_integer(capsys, formula_file,
+                                             monkeypatch):
+    monkeypatch.setenv("AF_RESOURCE_CAP", "abc")
+    code, out, err = run(capsys, "sat", formula_file("forall x1 p(x1)"))
+    assert (code, out, err) == (
+        2, "", "error: AF_RESOURCE_CAP must be an integer, got 'abc'\n")
+
+
+# Exact stdout of text forms that no golden above pins.
+TEXT_OUTPUTS = [
+    ("sat-trace", ["sat", "{f}", "--trace"], "forall x1 exists x2 r(x1,x2)",
+     0, "SAT\n"
+        "  {'stage': 'normalize', 'variables': 3, 'gammas': 1}\n"
+        "  {'stage': 'types', 'count': 16, 'admissible': 16}\n"
+        "  {'stage': 'pool', 'compatible': 248}\n"
+        "  {'stage': 'closure', 'remaining': 248}\n"
+        "  {'stage': 'certificate', 'size': 1}\n"),
+    ("normalize", ["normalize", "{f}"],
+     "forall x1 ((exists x2 r(x1,x2)) -> exists x2 r(x2,x1))",
+     0, "(forall x1 forall x2 exists x3 _nf1(x2) -> r(x2,x3))"
+        " & (forall x1 forall x2 exists x3 _nf2(x2) -> r(x3,x2))"
+        " & (forall x1 forall x2 exists x3 (_nf1(x3) -> _nf2(x3)) -> _nf3)"
+        " & (forall x1 forall x2 forall x3 (r(x2,x3) -> _nf1(x2))"
+        " & (r(x3,x2) -> _nf2(x2)) & (_nf3 -> _nf1(x3) -> _nf2(x3)) & _nf3)\n"),
+    ("comments", ["classify", "{f}"],
+     "# a whole-line comment\nforall x1 # after a token\n"
+     "  exists x2 r(x1,x2)  # at the end",
+     0, "adjacent: True\nmin_k: 0\nvariable_count: 2\nfluted: True\n"
+        "ordered: True\nforward: True\ntwo_variable: True\n"
+        "guarded: False\nguarded_adjacent: False\n"),
+    ("simulate-json", ["atm", "simulate", "{hop}", "11", "--json"], None,
+     0, '{"status": "accept", "tree_size": 2}\n'),
+    ("simulate-depth", ["atm", "simulate", "{hop}", "11", "--max-depth", "0"],
+     None, 1, "depth-exhausted\n"),
+]
+
+
+@pytest.mark.parametrize("argv,text,code,out",
+                         [row[1:] for row in TEXT_OUTPUTS],
+                         ids=[row[0] for row in TEXT_OUTPUTS])
+def test_text_output_bytes(capsys, formula_file, argv, text, code, out):
+    f = formula_file(text) if text is not None else None
+    argv = [a.format(f=f, hop=DATA / "hop.atm") for a in argv]
+    assert run(capsys, *argv) == (code, out, "")
+
+
+def test_atm_encode_text_golden(capsys):
+    code, out, err = run(capsys, "atm", "encode", str(DATA / "hop.atm"), "1")
+    assert (code, err) == (0, "")
+    assert out.startswith("# phi1\nforall x1 forall x2 V(x1,x2) -> "
+                          "!O(x1) & O(x2)\n# phi2\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3501aaaa01ecb0868c158d9fa8704988d501f2d9507506dd93fa6543c46df42a")
+
+
+def _af_command(*argv) -> dict:
+    """The arguments that start ``af`` in a child process through
+    ``cli.main``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(C.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    return {"args": [sys.executable, "-m", "afkit.cli", *argv], "env": env,
+            "stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+
+
+def test_closed_stdout_ends_silently(formula_file):
+    # Entry 12's model is about 750 KB, far more than a pipe holds, so af
+    # is still writing when the reader goes.
+    gammas, delta, _label = AF3_CORPUS[11]
+    with subprocess.Popen(**_af_command(
+            "model", formula_file(nf_text(gammas, delta, 2)))) as proc:
+        assert proc.stdout.readline() == b"SAT\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
+
+
+def test_clause_cap_trips_before_the_product_is_built(formula_file):
+    # The DNF of the body has 2^18 * (2^18 + 1) clauses, so the cap must
+    # trip before that product is built.  The child's address space is
+    # capped so that a conversion which builds it fails the test rather
+    # than exhausting the machine's memory.
+    def half(p, q):
+        return " & ".join(f"({p}{i}(u) | {q}{i}(u))" for i in range(18))
+    f = formula_file(f"exists u ({half('a', 'b')} & (({half('c', 'd')})"
+                     " | e(u)))")
+    limit = 2 << 30
+    done = subprocess.run(**_af_command("fo2af", f), timeout=30,
+                          preexec_fn=lambda: resource.setrlimit(
+                              resource.RLIMIT_AS, (limit, limit)))
+    assert (done.returncode, done.stdout) == (3, b"")
+    assert done.stderr == (b"resource cap exceeded: DNF conversion: the product of "
+                   b"262144 by 262145 clauses (size 18014535948697600) "
+                   b"exceeds the node cap of 1000000\n")
 
 
 # sha256 of stdout: the `_pz` guard names and their order, each projection

@@ -295,9 +295,9 @@ def test_check_conjuncts_builds_each_guard_table_once(monkeypatch, machine):
     builds = []
     guard_index = M._guard_index
 
-    def counting(exts, guard, bound, row_vars):
-        builds.append((guard.pred, guard.args, bound, row_vars))
-        return guard_index(exts, guard, bound, row_vars)
+    def counting(exts, guard, bound):
+        builds.append((guard.pred, guard.args, bound))
+        return guard_index(exts, guard, bound)
 
     monkeypatch.setattr(M, "_guard_index", counting)
     report = H.check_conjuncts(H.encode_atm(_machine(machine), "111"),

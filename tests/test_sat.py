@@ -215,6 +215,15 @@ WIDE_PROBE = (["r(x1,x2)", "r(x3,x2) -> r(x1,x1)"], "p(x1) -> r(x1,x2)", True)
 # about one of 1,200 random width-2 draws.
 START_PROBE = (["t(x2,x2,x3) | t(x1,x2,x3)"], "!t(x1,x2,x1) & !t(x2,x2,x3)",
                False)
+# A sentence whose certificate search backtracks: of its 8 pool members,
+# the first seed's search fails after 2 dead ends and 3 candidates the
+# link test rejects, and the second seed gives a 2-member certificate (a
+# 135-element model; the oracle finds one on 2 elements).  Found in about
+# one of 5,000 random width-2 draws over p, s and r.
+BACKTRACK_PROBE = (["!p(x2) | !s(x3) -> r(x1,x2) | !p(x2)",
+                    "s(x2) -> r(x3,x2) | r(x1,x2)",
+                    "p(x3) & (p(x3) -> !r(x2,x3))"],
+                   "p(x1) & (!r(x2,x3) | !r(x2,x2) & s(x1))", True)
 
 
 def decided_pool(nf) -> tuple:
@@ -417,28 +426,36 @@ def eager_find_certificate(pool: list, need: dict, inv):
     return None
 
 
-def assert_search_matches_eager(nf):
+def assert_search_matches_eager(nf) -> tuple:
     """decide_af3 hands the search its pool in (popcount, mask) order, and
-    the lazy search returns the certificate of the eager reference."""
+    the lazy search returns the certificate of the eager reference; the
+    pool and that certificate."""
     searches = []
     real = X._find_certificate
 
     def spy(pool, need, inv):
         assert pool == sorted(pool, key=lambda m: (m.bit_count(), m))
         found = real(pool, need, inv)
-        searches.append((found, eager_find_certificate(pool, need, inv)))
+        searches.append((pool, found, eager_find_certificate(pool, need, inv)))
         return found
 
     with mock.patch.object(X, "_find_certificate", spy):
         X.decide_af3(nf)
-    [(lazy, eager)] = searches
+    [(pool, lazy, eager)] = searches
     assert lazy == eager
+    return pool, lazy
 
 
 def test_lazy_certificate_search_matches_eager():
     for gs, d, _expect in AF3_CORPUS + [WITNESS_PROBE, LINK_PROBE,
-                                        UNSAT_PROBE, WIDE_PROBE]:
-        assert_search_matches_eager(X.normalize(S.parse(nf_text(gs, d, 2))))
+                                        UNSAT_PROBE, WIDE_PROBE,
+                                        BACKTRACK_PROBE]:
+        pool, found = assert_search_matches_eager(
+            X.normalize(S.parse(nf_text(gs, d, 2))))
+    # The search from a seed only adds members, so BACKTRACK_PROBE's
+    # certificate, which lacks the first pool member, shows that the first
+    # seed's search failed and a second seed was tried.
+    assert found is not None and pool[0] not in found
 
 
 def test_build_model_is_verified():
