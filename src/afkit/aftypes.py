@@ -10,7 +10,8 @@ atoms, never the full space of adjacent atoms.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -33,6 +34,7 @@ def atom_key(a: Atom) -> AtomKey:
     return (a.pred, tuple(word))
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def key_atom(key: AtomKey) -> Atom:
     name, word = key
     return Atom(name, tuple(syntax.var(i) for i in word))
@@ -41,18 +43,18 @@ def key_atom(key: AtomKey) -> Atom:
 def relevant_atoms(f: Formula, k: int) -> frozenset:
     """All atom keys (p, g . h) where h is the argument word of an atom of f
     and g ranges over adjacent words of length max(h) into [1, k].
-    Proposition letters are always included.  Each distinct atom is
-    expanded once, and the walks of each length are listed once."""
-    out = set()
-    walks: dict = {}  # length j -> W.walks(j, k)
+    Proposition letters are always included.  Each distinct word h is
+    composed once with each walk, for every predicate that reads it."""
+    names: dict = {}  # word h -> the predicates with an atom over h
     for name, args in {(a.pred, a.args) for a in syntax.atoms(f)}:
         h = tuple(syntax.var_index(n) for n in args)
         if None in h:
             raise FormulaError(f"atom {name} has non-index variables")
-        j = max(h, default=0)
-        if j not in walks:
-            walks[j] = tuple(W.walks(j, k))
-        out.update((name, W.compose(g, h)) for g in walks[j])
+        names.setdefault(h, set()).add(name)
+    out = set()
+    for h, preds in names.items():
+        images = [W.compose(g, h) for g in W.walks(max(h, default=0), k)]
+        out.update((name, w) for name in preds for w in images)
     return frozenset(out)
 
 
@@ -101,13 +103,11 @@ class AdjType:
         type's atom set."""
         import numpy as np
         assign = dict(self.items())
-
-        def leaf(key):
-            if key not in assign:
-                raise FormulaError("formula mentions atoms outside the type")
-            return np.bool_(assign[key])
-
-        return bool(qf_array(f, leaf, {}))
+        slots: dict = {}
+        test = compile_qf(f, slots)
+        if not slots.keys() <= assign.keys():
+            raise FormulaError("formula mentions atoms outside the type")
+        return bool(test([np.bool_(assign[key]) for key in slots]))
 
     def render(self) -> str:
         return syntax.render(self.formula())
@@ -153,35 +153,77 @@ def type_of_tuple(s, t: tuple, keys: Iterable) -> AdjType:
 # ---------------------------------------------------------------------------
 # Propositional truth tables over atom keys
 
-def qf_array(f: Formula, leaf, cache: dict):
-    """Evaluate a quantifier-free formula as a numpy boolean array: each atom
-    becomes ``leaf(atom key)``, computed once per atom into ``cache``, and
-    the connectives combine those arrays by broadcasting."""
+def compile_qf(f: Formula, slots: dict):
+    """Compile a quantifier-free formula into a function of its atom
+    leaves: each atom key of f gets a slot in ``slots`` (key -> index, in
+    order of first occurrence, shared by every formula compiled into the
+    same dict), and the function maps the list of leaves, one value per
+    slot, to f's value, the connectives combining numpy booleans or arrays
+    by broadcasting.  The keys of the atoms under a quantifier get slots
+    too; the quantifier compiles to a function raising ``FormulaError``
+    when it runs, so each caller's cap check on its keys comes first."""
     import numpy as np
-    if isinstance(f, Atom):
-        atom = (f.pred, f.args)
-        if atom not in cache:
-            cache[atom] = leaf(atom_key(f))
-        return cache[atom]
-    if isinstance(f, syntax.Unit):
-        return qf_array(f.body, leaf, cache)
-    if isinstance(f, syntax.Not):
-        return ~qf_array(f.body, leaf, cache)
-    if isinstance(f, syntax.And):
-        out = np.bool_(True)
-        for c in f.args:
-            out = out & qf_array(c, leaf, cache)
-        return out
-    if isinstance(f, syntax.Or):
-        out = np.bool_(False)
-        for c in f.args:
-            out = out | qf_array(c, leaf, cache)
-        return out
-    if isinstance(f, syntax.Implies):
-        return ~qf_array(f.left, leaf, cache) | qf_array(f.right, leaf, cache)
-    if isinstance(f, syntax.Iff):
-        return qf_array(f.left, leaf, cache) == qf_array(f.right, leaf, cache)
-    raise FormulaError(f"not quantifier-free: {syntax.render(f)}")
+    getters: dict = {}  # (predicate, arguments) -> the getter of its slot
+
+    def rec(g: Formula):
+        kind = type(g)
+        if kind is Atom:
+            get = getters.get((g.pred, g.args))
+            if get is None:
+                get = getters[g.pred, g.args] = operator.itemgetter(
+                    slots.setdefault(atom_key(g), len(slots)))
+            return get
+        if kind is syntax.Not:
+            body = rec(g.body)
+            return lambda leaves: ~body(leaves)
+        if kind is syntax.And or kind is syntax.Or:
+            unit = np.bool_(kind is syntax.And)
+            op = operator.and_ if kind is syntax.And else operator.or_
+            first, *rest = [rec(c) for c in g.args] or [lambda leaves: unit]
+
+            def connective(leaves):
+                out = first(leaves)
+                for part in rest:
+                    out = op(out, part(leaves))
+                return out
+            return connective
+        if kind is syntax.Implies:
+            left, right = rec(g.left), rec(g.right)
+            return lambda leaves: ~left(leaves) | right(leaves)
+        if kind is syntax.Iff:
+            left, right = rec(g.left), rec(g.right)
+            return lambda leaves: left(leaves) == right(leaves)
+        if kind is syntax.Unit:
+            return rec(g.body)
+        if kind is syntax.Forall or kind is syntax.Exists:
+            rec(g.body)
+
+        def quantifier(leaves):
+            raise FormulaError(f"not quantifier-free: {syntax.render(g)}")
+        return quantifier
+
+    return rec(f)
+
+
+def _walk_leaf(at: list, dims: list, codes: dict):
+    """The leaf of one atom key over a chunk of walk rows: ``at[r]`` is the
+    axis of the key's image under row r, and ``dims`` the table's shape
+    with the chunk's rows and 1 on every key axis.  Cell (r, ...) is the
+    value of row r's image axis: each distinct image axis has size 2, the
+    others stay 1, and row r is gathered in one step from the row of its
+    image in ``codes[m]``, the bits of the codes over m = the number of
+    distinct images, first image first (an m x 2^m table, no larger than
+    the leaf, made once per m and kept in ``codes``)."""
+    import numpy as np
+    distinct = sorted(set(at))
+    m = len(distinct)
+    if m not in codes:
+        codes[m] = np.arange(1 << m) >> np.arange(m - 1, -1, -1)[:, None] & 1 == 1
+    row = {p: j for j, p in enumerate(distinct)}
+    dims = list(dims)
+    for p in distinct:
+        dims[p] = 2
+    return codes[m][[row[p] for p in at]].reshape(dims)
 
 
 def truth_tables(formulas: Sequence, keys: Iterable, rows=None,
@@ -204,27 +246,35 @@ def truth_tables(formulas: Sequence, keys: Iterable, rows=None,
       the output cell must agree with the row.
     - ``walks``: row r reads each atom (p, w) as (p, compose(walks[r], w)),
       the instance of the formulas under that walk, so no instance is
-      rebuilt.  The rows are conjoined: the result has one row, the table
-      of all instances together.
+      rebuilt.  The images of each distinct word w are composed once, and
+      each key's leaf is gathered in one step from the axes of its images.
+      The rows are conjoined: the result has one row, the table of all
+      instances together.
 
     The array has the row axis, one axis per output key, in sorted order
     with False first, and one per other atom key read that no row fixes;
     those trail and are projected away.  More than ``cap`` keys and
-    trailing axes raise ``ResourceError`` naming ``stage``.  The formulas
-    are walked once per chunk of rows, a chunk having at most ``budget``
-    cells (and at least one row), and the array they build is ANDed with
-    each extra before the trailing axes are projected.  Yields the list of
-    tables, one per extra, per chunk; with ``walks``, once at the end."""
+    trailing axes raise ``ResourceError`` naming ``stage``.  Each formula
+    is compiled once per call by ``compile_qf``, whose slots are the keys
+    read; the compiled formulas run once per chunk of rows, a chunk having
+    at most ``budget`` cells (and at least one row), and the array they
+    build is ANDed with each extra before the trailing axes are projected.
+    Yields the list of tables, one per extra, per chunk; with ``walks``,
+    once at the end."""
     import numpy as np
     keys = sort_keys(keys)
     row_keys, bits = rows or ((), None)
     column = {key: j for j, key in enumerate(row_keys)}
     n_rows = len(bits) if walks is None else len(walks)
-    read = set(map(atom_key, {a for f in itertools.chain(formulas, *extras)
-                              for a in syntax.atoms(f)}))
-    if walks is not None:
-        read = {(name, W.compose(g, word)) for name, word in read
-                for g in walks}
+    slots: dict = {}
+    base_parts = [compile_qf(f, slots) for f in formulas]
+    extra_parts = [[compile_qf(f, slots) for f in extra] for extra in extras]
+    if walks is None:
+        read = set(slots)
+    else:
+        images = {word: [W.compose(g, word) for g in walks]
+                  for word in {word for _, word in slots}}
+        read = {(name, w) for name, word in slots for w in images[word]}
     trailing = tuple(sorted(read - set(keys) - set(column)))
     axes = keys + trailing
     if len(axes) > cap:
@@ -237,48 +287,44 @@ def truth_tables(formulas: Sequence, keys: Iterable, rows=None,
     # the table is written at the row's value.
     kept = (slice(None),) + tuple(0 if key in column else slice(None)
                                   for key in keys)
-
-    def axis(key):
-        dims = [1] * ndim
-        dims[position[key]] = 2
-        return np.array([False, True]).reshape(dims)
+    if walks is not None:
+        at = [[position[name, w] for w in images[word]]
+              for name, word in slots]
+        codes: dict = {}
+    else:
+        on_axis = {}
+        for key in slots.keys() - column.keys():
+            dims = [1] * ndim
+            dims[position[key]] = 2
+            on_axis[key] = np.array([False, True]).reshape(dims)
 
     conjoined = [np.ones((1,) * ndim, dtype=bool)] * len(extras)
     step = max(1, budget >> len(axes))
     for lo in range(0, n_rows, step):
         hi = min(n_rows, lo + step)
-
-        def leaf(key):
-            if walks is None:
-                if key in column:
-                    return bits[lo:hi, column[key]].reshape(
-                        (-1,) + (1,) * len(axes))
-                return axis(key)
-            images = [(key[0], W.compose(g, key[1])) for g in walks[lo:hi]]
-            cells = np.bool_(False)
-            for image in set(images):
-                on = np.array([i == image for i in images])
-                cells = cells | (on.reshape((-1,) + (1,) * len(axes))
-                                 & axis(image))
-            return cells
-
-        at = (np.arange(hi - lo),) + tuple(
-            bits[lo:hi, column[key]].astype(np.intp) if key in column
-            else slice(None) for key in keys)
-        cache: dict = {}
+        if walks is not None:
+            dims = [hi - lo] + [1] * len(axes)
+            leaves = [_walk_leaf(p[lo:hi], dims, codes) for p in at]
+        else:
+            leaves = [bits[lo:hi, column[key]].reshape(
+                (-1,) + (1,) * len(axes)) if key in column else on_axis[key]
+                for key in slots]
+            index = (np.arange(hi - lo),) + tuple(
+                bits[lo:hi, column[key]].astype(np.intp) if key in column
+                else slice(None) for key in keys)
         base = np.ones((1,) * ndim, dtype=bool)
-        for f in formulas:
-            base = base & qf_array(f, leaf, cache)
+        for part in base_parts:
+            base = base & part(leaves)
         tables = []
-        for e, extra in enumerate(extras):
+        for e, parts in enumerate(extra_parts):
             full = base
-            for f in extra:
-                full = full & qf_array(f, leaf, cache)
+            for part in parts:
+                full = full & part(leaves)
             if walks is not None:
                 conjoined[e] = conjoined[e] & full.all(axis=0, keepdims=True)
                 continue
             table = np.zeros((hi - lo,) + (2,) * len(keys), dtype=bool)
-            table[at] = full.any(axis=trail)[kept]
+            table[index] = full.any(axis=trail)[kept]
             tables.append(table.reshape(hi - lo, -1))
         if walks is None:
             yield tables

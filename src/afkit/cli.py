@@ -27,10 +27,25 @@ def _atom_cap() -> int:
     env = os.environ.get("AF_RESOURCE_CAP")
     if env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise FormulaError(f"AF_RESOURCE_CAP must be an integer, got {env!r}")
+        if cap < 0:
+            raise FormulaError(
+                f"AF_RESOURCE_CAP must not be negative, got {env!r}")
+        return cap
     return T.DEFAULT_ATOM_CAP
+
+
+def _limit(text: str) -> int:
+    """The value of a size limit option: an integer, zero or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def _read_formula(path: str) -> S.Formula:
@@ -235,17 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
         if name not in ("fo2af", "af2fo2", "oracle"):
             p.add_argument("--json", action="store_true")
         if name in ("sat", "model"):
-            p.add_argument("--pool-cap", type=int,
+            p.add_argument("--pool-cap", type=_limit,
                            default=SAT.DEFAULT_POOL_CAP)
             p.add_argument("--emit-model", metavar="FILE", default=None)
             p.add_argument("--trace", action="store_true")
-            p.add_argument("--max-vars", type=int, default=6,
+            p.add_argument("--max-vars", type=_limit, default=6,
                            help="refuse inputs needing more variables")
         if name == "reduce":
             p.add_argument("--no-prune", action="store_true",
                            help="keep guard conjuncts for unrealizable types")
         if name == "oracle":
-            p.add_argument("--max-domain", type=int, default=3)
+            p.add_argument("--max-domain", type=_limit, default=3)
             p.add_argument("--emit-model", metavar="FILE", default=None)
 
     p = add("check", cmd_check, help="model-check formula against structure")
@@ -264,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "verify":  # verify always prints JSON
             q.add_argument("--json", action="store_true")
         if name in ("simulate", "verify"):
-            q.add_argument("--max-depth", type=int, default=64)
+            q.add_argument("--max-depth", type=_limit, default=64)
         if name == "encode":
             q.add_argument("--literal-succ", action="store_true",
                            help="keep the modular successor variant")

@@ -239,8 +239,8 @@ def _images(parts: Sequence, walks: list) -> list:
     """The distinct formulas ``shift_up(substitute_walk(part, walk),
     shift)`` over the (walk, shift) pairs and, per pair, the parts, in
     order of first occurrence.  An image is fixed by the map i -> walk[i-1]
-    + shift on the indices its part reads, so each part is substituted once
-    per distinct map."""
+    + shift on the indices its part reads, so each part is renamed once per
+    distinct map, substitution and shift in one renaming."""
     width = len(walks[0][0]) if walks else 0
     reads = []
     for part in parts:
@@ -253,13 +253,14 @@ def _images(parts: Sequence, walks: list) -> list:
     seen: set = set()
     out: dict = {}
     for walk, shift in walks:
+        mapping = None
         for p, (part, read) in enumerate(zip(parts, reads)):
             key = (p, walk, shift) if read is None else (
                 p, tuple(walk[i - 1] + shift for i in read))
             if key not in seen:
                 seen.add(key)
-                body = S.substitute_walk(part, walk)
-                out[S.shift_up(body, shift) if shift else body] = None
+                mapping = mapping or S.walk_mapping(walk, shift)
+                out[S.rename_indices(part, mapping)] = None
     return list(out)
 
 
@@ -271,7 +272,8 @@ def _typed_keys(nf: NormalFormFormula, atom_cap: int, stage: str,
     """The sorted relevant atom keys at width l, within ``atom_cap``, and
     the codes of the l-types satisfying every universal instance (of all
     l-types without ``prune``); a tripped cap names ``stage``."""
-    keys = T.sort_keys(T.relevant_atoms(nf.sentence(), nf.ell))
+    keys = T.sort_keys(T.relevant_atoms(S.make_and([*nf.gammas, nf.delta]),
+                                        nf.ell))
     if len(keys) > atom_cap:
         raise ResourceError(
             f"{stage}: {len(keys)} relevant atoms at width {nf.ell} exceeds "
@@ -304,9 +306,10 @@ def reduce_step(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
                                      "project_circ"):
         for r, zeta in enumerate(itertools.islice(zetas, len(links))):
             name = f"_pz{next(counter)}"
-            fresh.append((name, zeta.render()))
+            chi = zeta.formula()
+            fresh.append((name, S.render(chi)))
             head_front = S.Atom(name, xs[:-1])
-            deltas.append(S.Implies(zeta.formula(), S.Atom(name, xs[1:])))
+            deltas.append(S.Implies(chi, S.Atom(name, xs[1:])))
             gammas += [S.Implies(head_front, T.project_circ(t[r], keys_ell))
                        for t in wits]
             deltas.append(S.Implies(head_front,
@@ -574,15 +577,19 @@ def tables_satisfy(nf: NormalFormFormula, tables: dict, n: int) -> bool:
     ``name`` holds at the true cells of ``tables[name]`` (a boolean array
     of shape (n,) * arity, or a bool for a letter) satisfies a normal-form
     sentence; equivalent to evaluate on the rebuilt sentence, but
-    vectorized.  The gammas and delta are evaluated over x1 in chunks, so
-    no array has more than about ``CELL_BUDGET`` cells beyond the tables
-    (or one x1 slice, if that is larger).  Each is reduced only over the
-    axes it reads: broadcasting to the others would repeat its values.
-    An atom is a read-only strided view of its table with one axis per
-    variable: the table's x1 axes are cut to the chunk, and a variable
-    that fills several positions steps by the sum of their strides."""
+    vectorized.  The gammas and delta are compiled once by
+    ``aftypes.compile_qf`` and evaluated over x1 in chunks, so no array has
+    more than about ``CELL_BUDGET`` cells beyond the tables (or one x1
+    slice, if that is larger).  Each is reduced only over the axes it
+    reads: broadcasting to the others would repeat its values.  An atom is
+    a read-only strided view of its table with one axis per variable: the
+    table's x1 axes are cut to the chunk, and a variable that fills several
+    positions steps by the sum of their strides."""
     import numpy as np
     from numpy.lib.stride_tricks import as_strided
+    slots: dict = {}
+    gammas = [T.compile_qf(gamma, slots) for gamma in nf.gammas]
+    delta = T.compile_qf(nf.delta, slots)
     step = max(1, CELL_BUDGET // max(n, 1) ** nf.ell)
     for lo in range(0, n, step):  # no chunk, so true, on an empty domain
         chunk = slice(lo, min(n, lo + step))
@@ -599,12 +606,11 @@ def tables_satisfy(nf: NormalFormFormula, tables: dict, n: int) -> bool:
                 strides[i - 1] += stride
             return as_strided(view, shape, strides, writeable=False)
 
-        cache: dict = {}
-        for gamma in nf.gammas:
-            arr = np.atleast_1d(T.qf_array(gamma, leaf, cache))
-            if not arr.any(axis=-1).all():
+        leaves = [leaf(key) for key in slots]
+        for gamma in gammas:
+            if not np.atleast_1d(gamma(leaves)).any(axis=-1).all():
                 return False
-        if not T.qf_array(nf.delta, leaf, cache).all():
+        if not delta(leaves).all():
             return False
     return True
 

@@ -8,6 +8,7 @@ two-variable input can be written naturally.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import asdict, dataclass
@@ -119,6 +120,7 @@ def make_or(parts: Sequence[Formula]) -> Formula:
     return Or(tuple(flat))
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def var_index(name: str) -> Optional[int]:
     """The N of a variable written xN, or None for other names."""
     if len(name) >= 2 and name[0] == "x" and name[1:].isdigit():
@@ -194,7 +196,14 @@ def is_sentence(f: Formula) -> bool:
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    return all(not isinstance(g, (Forall, Exists)) for g in subformulas(f))
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (Forall, Exists)):
+            return False
+        if not isinstance(g, Atom):
+            stack.extend(children(g))
+    return True
 
 
 def signature(f: Formula) -> dict:
@@ -641,17 +650,20 @@ def classify(f: Formula) -> FragmentReport:
 
 def rename_indices(f: Formula, mapping) -> Formula:
     """Apply an index-to-index mapping to every variable occurrence of a
-    quantifier-free formula."""
+    quantifier-free formula; each distinct variable is mapped once."""
+    names: dict = {}  # old name -> new name
+
+    def rename(a: str) -> str:
+        if a not in names:
+            i = var_index(a)
+            if i is None:
+                raise FormulaError(f"variable {a!r} is not index-named")
+            names[a] = var(mapping(i))
+        return names[a]
 
     def rec(g: Formula) -> Formula:
         if isinstance(g, Atom):
-            new = []
-            for a in g.args:
-                i = var_index(a)
-                if i is None:
-                    raise FormulaError(f"variable {a!r} is not index-named")
-                new.append(var(mapping(i)))
-            return Atom(g.pred, tuple(new))
+            return Atom(g.pred, tuple([rename(a) for a in g.args]))
         if isinstance(g, (Forall, Exists)):
             raise FormulaError("operation requires a quantifier-free formula")
         return rebuild(g, [rec(c) for c in children(g)])
@@ -661,15 +673,23 @@ def rename_indices(f: Formula, mapping) -> Formula:
 
 def substitute_walk(chi: Formula, g: Sequence[int]) -> Formula:
     """chi(x_{g(1)} ... x_{g(l)}): replace x_i by x_{g(i)} throughout."""
+    return rename_indices(chi, walk_mapping(g, 0))
+
+
+def walk_mapping(g: Sequence[int], shift: int):
+    """The index map i -> g(i) + shift of a walk, for ``rename_indices``:
+    ``shift_up(substitute_walk(chi, g), shift)`` in one renaming.  Raises
+    ``FormulaError`` if g is not adjacent, and when applied to an index
+    outside g's domain."""
     if not _word_adjacent(tuple(g)):
         raise FormulaError(f"walk {list(g)} is not adjacent")
 
     def mapping(i: int) -> int:
         if not 1 <= i <= len(g):
             raise FormulaError(f"variable x{i} outside the walk's domain [1, {len(g)}]")
-        return g[i - 1]
+        return g[i - 1] + shift
 
-    return rename_indices(chi, mapping)
+    return mapping
 
 
 def max_index(f: Formula) -> int:

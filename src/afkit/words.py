@@ -68,7 +68,7 @@ def apply_walk(w: Word, f: Sequence[int]) -> Word:
 
 def compose(g: Sequence[int], f: Sequence[int]) -> Walk:
     """The walk g∘f: position i maps to g[f(i)].  Adjacent when both are."""
-    return tuple(g[p - 1] for p in f)
+    return tuple([g[p - 1] for p in f])
 
 
 @lru_cache(maxsize=None)

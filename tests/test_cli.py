@@ -381,6 +381,41 @@ def test_resource_cap_env_must_be_an_integer(capsys, formula_file,
         2, "", "error: AF_RESOURCE_CAP must be an integer, got 'abc'\n")
 
 
+@pytest.mark.parametrize("argv,env,message", [
+    (["sat", "{f}", "--pool-cap", "-1"], None,
+     "af sat: error: argument --pool-cap: must not be negative, got -1"),
+    (["model", "{f}", "--pool-cap", "-1"], None,
+     "af model: error: argument --pool-cap: must not be negative, got -1"),
+    (["sat", "{f}", "--max-vars", "-1"], None,
+     "af sat: error: argument --max-vars: must not be negative, got -1"),
+    (["oracle", "{f}", "--max-domain", "-3"], None,
+     "af oracle: error: argument --max-domain: must not be negative, got -3"),
+    (["atm", "simulate", "{hop}", "11", "--max-depth", "-1"], None,
+     "af atm simulate: error: argument --max-depth: must not be negative, "
+     "got -1"),
+    (["atm", "verify", "{hop}", "11", "--max-depth", "-1"], None,
+     "af atm verify: error: argument --max-depth: must not be negative, "
+     "got -1"),
+    (["sat", "{f}"], "-5", "error: AF_RESOURCE_CAP must not be negative, "
+     "got '-5'"),
+    (["reduce", "{f}"], "-1", "error: AF_RESOURCE_CAP must not be negative, "
+     "got '-1'"),
+], ids=["pool-cap", "model-pool-cap", "max-vars", "max-domain",
+        "simulate-max-depth", "verify-max-depth", "env-sat", "env-reduce"])
+def test_negative_limit_is_a_usage_error(capsys, formula_file, monkeypatch,
+                                         argv, env, message):
+    """A negative limit exits 2 with a last line naming the option, where
+    it used to run: a pool cap of -1 tripped with exit 3, a domain bound of
+    -3 reported no model.  Zero keeps its meaning (``simulate-depth``
+    above)."""
+    if env is not None:
+        monkeypatch.setenv("AF_RESOURCE_CAP", env)
+    f = formula_file("forall x1 forall x2 forall x3 exists x4 r(x3,x4)")
+    argv = [a.format(f=f, hop=DATA / "hop.atm") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.splitlines()[-1]) == (2, "", message)
+
+
 # Exact stdout of text forms that no golden above pins.
 TEXT_OUTPUTS = [
     ("sat-trace", ["sat", "{f}", "--trace"], "forall x1 exists x2 r(x1,x2)",

@@ -16,6 +16,7 @@ import afkit.sat as X
 import afkit.semantics as M
 import afkit.syntax as S
 import afkit.words as W
+import reference as R
 from corpus import AF3_CORPUS, AF4_CORPUS, nf_text
 
 
@@ -148,6 +149,23 @@ def test_decide_af3_verdicts_and_traces():
     assert any(row.get("stage") == "certificate" for row in trace)
 
 
+def test_unsat_verdicts_end_with_an_empty_pool():
+    """Every UNSAT AF3 entry and ``UNSAT_PROBE`` is decided by the
+    coherence closure: the certificate row names an empty pool after
+    closure, never a pool without a coherent clique, a branch no known
+    input reaches."""
+    unsat = [(gs, d) for gs, d, expect in AF3_CORPUS + [UNSAT_PROBE]
+             if not expect]
+    assert len(unsat) == 13
+    for gs, d in unsat:
+        res = X.decide_af3(X.normalize(S.parse(nf_text(gs, d, 2))))
+        assert not res.satisfiable
+        assert res.trace[-2:] == [
+            {"stage": "closure", "remaining": 0},
+            {"stage": "certificate", "size": 0,
+             "reason": "empty pool after closure"}]
+
+
 def test_decide_af3_rejects_wrong_level():
     f = S.parse(nf_text(["r(x3,x4)"], "r(x1,x2)", 3))
     with pytest.raises(S.FormulaError):
@@ -200,7 +218,9 @@ WITNESS_PROBE = (["!r(x3,x3) & !r(x1,x2)"], "!r(x2,x1) | !r(x1,x2) | r(x1,x1)",
 LINK_PROBE = (["p(x2) & p(x1)", "!r(x1,x1)"], "!r(x1,x2) | !r(x2,x3)", True)
 # An UNSAT sentence whose reference pool is not empty (6 compatible of 20
 # candidates, no coherent subset), found by a seeded random search over
-# p/1 and r/2 normal forms.
+# p/1 and r/2 normal forms.  That is the reference pool of
+# ``aftypes.compatible``; the decider's coherence closure empties its own
+# pool, so nothing reaches the certificate search.
 UNSAT_PROBE = (["!r(x2,x2) & r(x3,x2) & !r(x2,x1)"],
                "(!r(x2,x1) | p(x1) | !r(x1,x2)) & (!r(x2,x1) | !p(x1))", False)
 
@@ -978,3 +998,89 @@ def test_lazy_certificate_search_matches_eager_on_random_sentences(nf):
         assert_search_matches_eager(nf)
     except S.ResourceError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# The compiled truth tables against the named reference in tests/reference.py
+
+
+def outcome(tables):
+    """The chunks of a ``truth_tables`` generator as lists of arrays, or the
+    type and message of the exception it raises."""
+    try:
+        return "tables", [list(chunk) for chunk in tables]
+    except (S.FormulaError, S.ResourceError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(tables, reference):
+    """Two ``truth_tables`` generators yield the same chunks, cell for
+    cell, or raise the same exception with the same message; returns the
+    number of chunks, or None after an exception."""
+    got, want = outcome(tables), outcome(reference)
+    assert got[0] == want[0]
+    if got[0] != "tables":
+        assert got == want
+        return None
+    assert len(got[1]) == len(want[1])
+    for chunk, ref in zip(got[1], want[1]):
+        assert len(chunk) == len(ref)
+        for table, expect in zip(chunk, ref):
+            assert table.shape == expect.shape
+            assert (table == expect).all()
+    return len(got[1])
+
+
+def assert_same_tables(formulas, keys, **kwargs):
+    """``truth_tables`` against ``reference.truth_tables`` on the same
+    arguments (see ``assert_same_outcome``)."""
+    return assert_same_outcome(T.truth_tables(formulas, keys, **kwargs),
+                               R.truth_tables(formulas, keys, **kwargs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nf=normal_forms(ells=(2, 3)), data=st.data())
+def test_truth_tables_match_named_reference(nf, data):
+    """Random normal forms of width 2 and 3: the walk tables of the type
+    filter and the start tables, the ``_link_tables`` rows (whose row keys
+    are also output keys), tables whose output keys are a prefix of the
+    keys read (so that the others trail), and runs of one row per chunk
+    (at least 3 chunks with rows), each equal cell for cell to
+    ``reference.truth_tables``.  A cap below the keys read and a
+    quantified formula raise what the reference raises, the cap first."""
+    ell = nf.ell
+    sentence = nf.sentence()
+    keys = T.sort_keys(T.relevant_atoms(sentence, ell))
+    assert T.relevant_atoms(sentence, ell) == R.relevant_atoms(sentence, ell)
+    walks = W.walks(ell + 1, ell)
+    extras = [(), *([g] for g in nf.gammas)]
+    budget = data.draw(st.sampled_from([1, X.CELL_BUDGET]))
+    cut = data.draw(st.integers(0, len(keys)))
+    for out in (keys, keys[:cut]):
+        assert_same_tables([nf.delta], out, walks=walks, extras=extras,
+                           budget=budget)
+        assert_same_tables([], out, walks=((1,) * ell + (2,),),
+                           extras=extras, budget=budget)
+    (table,), = T.truth_tables([nf.delta], keys, walks=walks)
+    codes = table[0].nonzero()[0]
+    picked = data.draw(st.lists(st.sampled_from(codes.tolist()), min_size=3,
+                                max_size=4) if len(codes) else st.just([]))
+    codes = np.array(picked, dtype=np.int64)
+    bits = (codes[:, None] >> np.arange(len(keys) - 1, -1, -1)) & 1 == 1
+    delta_hat = S.hat(nf.delta, ell + 1)
+    up = T.shift_keys(keys)
+    for out in (up, up[:cut]):
+        chunks = assert_same_tables([delta_hat], out, rows=(keys, bits),
+                                    extras=extras, budget=budget)
+        assert chunks in (None, len(codes) if budget == 1
+                          else min(1, len(codes)))
+    assert_same_outcome(
+        X._link_tables(nf, keys, codes, T.DEFAULT_ATOM_CAP, "link"),
+        R.truth_tables([delta_hat], up, rows=(keys, bits), extras=extras,
+                       budget=X.CELL_BUDGET, stage="link"))
+    quantified = S.Forall("x1", nf.delta)
+    cap = data.draw(st.integers(0, len(keys) + 2))
+    for kwargs in ({"walks": walks}, {"rows": (keys, bits)}):
+        assert_same_tables([nf.delta, quantified], keys, cap=cap, **kwargs)
+        assert_same_tables([nf.delta], keys, extras=[(), [quantified]],
+                           cap=cap, **kwargs)
