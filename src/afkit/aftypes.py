@@ -291,12 +291,11 @@ def truth_tables(formulas: Sequence, keys: Iterable, rows=None,
         at = [[position[name, w] for w in images[word]]
               for name, word in slots]
         codes: dict = {}
-    else:
-        on_axis = {}
-        for key in slots.keys() - column.keys():
-            dims = [1] * ndim
-            dims[position[key]] = 2
-            on_axis[key] = np.array([False, True]).reshape(dims)
+
+    def axis(key):
+        dims = [1] * ndim
+        dims[position[key]] = 2
+        return np.array([False, True]).reshape(dims)
 
     conjoined = [np.ones((1,) * ndim, dtype=bool)] * len(extras)
     step = max(1, budget >> len(axes))
@@ -307,7 +306,7 @@ def truth_tables(formulas: Sequence, keys: Iterable, rows=None,
             leaves = [_walk_leaf(p[lo:hi], dims, codes) for p in at]
         else:
             leaves = [bits[lo:hi, column[key]].reshape(
-                (-1,) + (1,) * len(axes)) if key in column else on_axis[key]
+                (-1,) + (1,) * len(axes)) if key in column else axis(key)
                 for key in slots]
             index = (np.arange(hi - lo),) + tuple(
                 bits[lo:hi, column[key]].astype(np.intp) if key in column
