@@ -5,7 +5,9 @@ three-variable case with model construction, and a brute-force oracle.
 
 from __future__ import annotations
 
+import copy
 import functools
+import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -321,7 +323,7 @@ def reduce_step(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
 # ---------------------------------------------------------------------------
 # The three-variable decider
 
-DEFAULT_POOL_CAP = 1 << 22
+DEFAULT_POOL_CAP = 1 << 18
 
 
 def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
@@ -330,13 +332,19 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
     """Certificate search for 3-variable normal-form sentences: SAT iff a
     non-empty coherent set of compatible connector-types exists.
 
-    The candidates of each 1-type group, pi squared plus any subset of the
-    group's other admissible 2-types, count against ``pool_cap`` and are
-    tested together by ``_group_pool``; a group of more than 63 members
-    raises ``ResourceError`` whatever the cap.  The type filter applies
-    delta on every triple over a pair, so the admissible 2-types are closed
-    under inverse and every 1-type group holds pi squared: both are looked
-    up in ``index`` without a fallback."""
+    ``_fixpoint`` keeps a set U of admissible 2-types, empty on UNSAT; the
+    search reads the compatible connector-types within U smallest first,
+    each test counting against ``pool_cap``.  It returns the certificate
+    that the search over the coherence closure P of the compatible
+    connector-types (the greatest set of them in whose union every
+    member's inverses lie) returns: every certificate lies in P, as P with
+    it added is still closed; P's union lies in U, as each member of P
+    passes its group's filter in every round of ``_fixpoint``; so P's
+    members are candidates, in the same (popcount, mask) order, and no
+    branch through a candidate outside P completes.
+    The type filter applies delta on every triple over a pair, so the
+    admissible 2-types are closed under inverse and every 1-type group
+    holds pi squared: both are looked up in ``index`` without a fallback."""
     if nf.ell != 2:
         raise FormulaError("the decider handles 3-variable normal form")
     trace = trace if trace is not None else []
@@ -359,60 +367,38 @@ def decide_af3(nf: NormalFormFormula, atom_cap: int = T.DEFAULT_ATOM_CAP,
         for out, table in zip(rows, tables):
             out += _masks(table, codes)
 
-    # Group admissible types by their 1-type (as bitmasks over
-    # ``admissible``); the candidate connector-types of a group are pi
-    # squared plus a submask of the rest.  need[om] is the mask of the
-    # inverses of om's members.
+    # The 1-type groups, keyed by the bit of pi squared.
     groups: dict = {}
     for i, t in enumerate(admissible):
-        pi = T.restrict_to_ones(t)
-        groups[pi] = groups.get(pi, 0) | 1 << i
-    need: dict = {}
-    budget = pool_cap
-    for pi in sorted(groups, key=lambda p: p.bits):
-        pi2 = index[T.one_type_squared(pi, keys2)]
-        rest = groups[pi] ^ 1 << pi2
-        width = rest.bit_count()
-        if (1 << width) > budget:
-            reached = pool_cap - budget + (1 << width)
+        pi2 = index[T.one_type_squared(T.restrict_to_ones(t), keys2)]
+        groups[pi2] = groups.get(pi2, 0) | 1 << i
+    union = _fixpoint(list(groups.values()), inv, start_masks, wit)
+    trace.append({"stage": "fixpoint", "two_types": union.bit_count()})
+
+    tested = 0
+
+    def compatible(om: int) -> bool:
+        nonlocal tested
+        tested += 1
+        if tested > pool_cap:
             raise ResourceError(
-                f"decide_af3 pool: {reached} candidate connector-types "
+                f"decide_af3 pool: {tested} candidate connector-types "
                 f"exceeds the cap of {pool_cap}")
-        if width > 62:  # only under a pool cap of 2^63 or more
-            raise ResourceError(
-                f"decide_af3 pool: a 1-type group of {width + 1} 2-types "
-                f"exceeds the int64 mask limit of 63")
-        budget -= 1 << width
-        need.update(_group_pool(pi2, rest, inv, start_masks, wit, link))
-    trace.append({"stage": "pool", "compatible": len(need)})
+        return _compatible(om, inv, start_masks, wit, link)
 
-    # Greatest coherence-closed subset under the existential condition: a
-    # connector-type survives iff the inverse of each member still occurs
-    # somewhere in the pool, i.e. in the union of the surviving masks.
-    pool_set = set(need)
-    while True:
-        union = 0
-        for om in pool_set:
-            union |= om
-        keep = {om for om in pool_set if need[om] & ~union == 0}
-        if keep == pool_set:
-            break
-        pool_set = keep
-    # Few-membered connector-types first: they yield smaller witness models.
-    pruned = sorted(pool_set)
-    pruned.sort(key=int.bit_count)
-    trace.append({"stage": "closure", "remaining": len(pruned)})
-
-    cert_masks = _find_certificate(pruned, need, inv)
+    cert_masks = _find_certificate(
+        [(pi2, group & union & ~(1 << pi2)) for pi2, group in groups.items()
+         if union >> pi2 & 1], inv, compatible)
     if cert_masks is None:
-        trace.append({"stage": "certificate", "size": 0,
-                      "reason": ("empty pool after closure" if not pruned
+        trace.append({"stage": "certificate", "size": 0, "tested": tested,
+                      "reason": ("empty fixpoint" if not union
                                  else "no coherent clique")})
         return SatResult(False, trace=trace)
     certificate = tuple(
         ConnectorType(frozenset(admissible[i] for i in _bits(om)))
         for om in cert_masks)
-    trace.append({"stage": "certificate", "size": len(certificate)})
+    trace.append({"stage": "certificate", "size": len(certificate),
+                  "tested": tested})
     result = SatResult(True, certificate=certificate, trace=trace)
     if want_model:
         result.id_model = build_model(certificate, nf, index, inv, wit,
@@ -450,79 +436,91 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _group_pool(pi2: int, rest: int, inv, start_masks, wit, link) -> dict:
-    """The compatible connector-types of one 1-type group, pi squared (bit
-    ``pi2``) plus a submask of ``rest``, each mapped to its inverse mask, in
-    ascending order.  omega is compatible iff (i) it meets every start
-    mask, and for each member e (ii) it meets ``wit[g][inv e]`` for every g
-    and (iii) ``link[inv e]`` holds all of omega.  For e = pi squared these
-    hold whenever (i) does, and pi squared lies in every ``link[inv e]``:
-    an admissible eta on (a, b) extends to the 3-type of (a, a, b), which
-    satisfies gamma exactly when eta lies in gamma's start mask.
-
-    Each candidate is held as an int64 local mask over the members of
-    ``rest`` (bit j is the j-th lowest), so the conditions are vector
-    operations over every candidate of a chunk of ``CELL_BUDGET``; the
-    survivors map back to global masks through 256-entry tables, one per
-    byte of the local mask.  ``rest`` has at most 62 members."""
-    import numpy as np
-    members = list(_bits(rest))
-    size, base = 1 << len(members), 1 << pi2
-
-    def local(mask: int) -> int:
-        return sum(1 << j for j, m in enumerate(members) if mask >> m & 1)
-
-    meet_all = [local(m) for m in start_masks if not m & base]
-    rules = []
-    for j, e in enumerate(members):
-        zi = inv[e]
-        allowed = local(link[zi])
-        meets = [local(w[zi]) for w in wit if not w[zi] & base]
-        if ~allowed & (size - 1) or meets:
-            rules.append((1 << j, allowed, meets))
-
-    tables = []
-    for lo in range(0, len(members), 8):
-        oms, needs = [0], [0]
-        for m in members[lo:lo + 8]:
-            oms += [x | 1 << m for x in oms]
-            needs += [x | 1 << inv[m] for x in needs]
-        tables.append((lo, oms, needs))
-    out: dict = {}
-    for lo in range(0, size, CELL_BUDGET):
-        sub = np.arange(lo, min(size, lo + CELL_BUDGET), dtype=np.int64)
-        ok = np.ones(len(sub), dtype=bool)
-        for mask in meet_all:
-            ok &= (sub & mask) != 0
-        for bit, allowed, meets in rules:
-            bad = (sub & ~allowed) != 0
-            for mask in meets:
-                bad |= (sub & mask) == 0
-            ok &= ((sub & bit) == 0) | ~bad
-        for s in sub[ok].tolist():
-            om, nd = base, base
-            for shift, oms, needs in tables:
-                om |= oms[s >> shift & 255]
-                nd |= needs[s >> shift & 255]
-            out[om] = nd
-    return out
+def _fixpoint(groups: list, inv, start_masks, wit) -> int:
+    """The greatest set U of admissible 2-types (a bitmask) that the
+    filters of the 1-type groups (bitmasks) keep.  A group's filter takes
+    its members whose inverse lies in U; drops, until none is dropped, each
+    member e with a gamma whose ``wit[g][inv e]`` misses the set; and keeps
+    the rest if it meets every start mask.  Each compatible connector-type
+    within inv(U) passes the same tests, so it lies in the kept set.  No
+    link is tested: an admissible 2-type on (a, b) extends to the 3-types
+    of (a, b, a) and (a, a, b), so e lies in ``link[inv e]``; and pi
+    squared, its own inverse, lies in every kept set, as each
+    ``wit[g][pi squared]`` holds the group's part of start mask g."""
+    union = (1 << len(inv)) - 1
+    while True:
+        kept = 0
+        for group in groups:
+            s = sum(1 << e for e in _bits(group) if union >> inv[e] & 1)
+            while drop := sum(1 << e for e in _bits(s)
+                              if any(not w[inv[e]] & s for w in wit)):
+                s ^= drop
+            if all(m & s for m in start_masks):
+                kept |= s
+        if kept == union:
+            return union
+        union = kept
 
 
-def _find_certificate(pool: list, need: dict, inv) -> Optional[list]:
-    """Smallest-first search for a non-empty subset of the pool that is
-    closed under inverses and pairwise linked in both directions.
+def _compatible(om: int, inv, start_masks, wit, link) -> bool:
+    """omega is compatible iff (i) it meets every start mask, and for each
+    member e (ii) it meets ``wit[g][inv e]`` for every g and (iii)
+    ``link[inv e]`` holds all of omega."""
+    return all(om & m for m in start_masks) and all(
+        not om & ~link[inv[e]] and all(w[inv[e]] & om for w in wit)
+        for e in _bits(om))
 
-    Relies on the pool's invariants: ``need[om]`` is the mask of the
-    inverses of om's members, so ``a`` links to ``b`` iff ``need[a] & b``,
-    which is non-zero iff ``need[b] & a`` is because taking the inverse is
-    an involution; every member holds pi squared, its own inverse, so it
-    links to itself.
-    A selection is inverse-closed iff the union of its needs lies in the
-    union of its members.  Otherwise the first missing inverse (members in
-    mask order, their bits ascending) names the candidates: the pool
-    members that hold it, in pool order, listed when first asked for."""
+
+def _candidates(base: int, rest: int):
+    """``base`` plus each submask of ``rest``, in (popcount, mask) order:
+    Gosper's next subset of the same size runs over the members of
+    ``rest``, the j-th lowest as bit j, which keeps mask order."""
+    members = [1 << e for e in _bits(rest)]
+    yield base
+    for size in range(1, len(members) + 1):
+        s = (1 << size) - 1
+        while not s >> len(members):
+            yield base | sum(members[j] for j in _bits(s))
+            low = s & -s
+            high = s + low
+            s = ((high ^ s) >> 2) // low | high
+
+
+def _find_certificate(groups: list, inv, compatible) -> Optional[list]:
+    """Smallest-first search for a non-empty set of compatible
+    connector-types that is closed under inverses and pairwise linked in
+    both directions.  Each 1-type group in ``groups``, the bit of pi
+    squared and the mask of its other 2-types, has its candidates listed
+    by ``_candidates`` as the search reads them, each read handed to
+    ``compatible``.
+
+    ``need(om)`` is the mask of the inverses of om's members, so ``a``
+    links to ``b`` iff ``need(a) & b``, which is non-zero iff ``need(b) &
+    a`` is because taking the inverse is an involution; every candidate
+    holds pi squared, its own inverse, so it links to itself.
+    The seeds are the compatible candidates of all groups, merged in
+    (popcount, mask) order.  A selection is inverse-closed iff the union of
+    its needs lies in the union of its members.  Otherwise the first
+    missing inverse (members in mask order, their bits ascending) names
+    the next candidates, which no member of the selection holds: the
+    compatible ones that hold it, in the same order, each list kept as far
+    as it has been read."""
+    def need(om: int) -> int:
+        return sum(1 << inv[i] for i in _bits(om))
+
+    group_of = {e: (pi2, rest) for pi2, rest in groups
+                for e in _bits(1 << pi2 | rest)}
     by_bit: dict = {}
     seen: set = set()
+
+    def holding(miss: int):
+        # Each list is a tee that is never read, whose copies read one
+        # buffer: a candidate is tested when the first copy reaches it.
+        if miss not in by_bit:
+            pi2, rest = group_of[miss]
+            by_bit[miss], = itertools.tee(filter(compatible, _candidates(
+                1 << pi2 | 1 << miss, rest & ~(1 << miss))), 1)
+        return copy.copy(by_bit[miss])
 
     def search(sel: frozenset, union: int, needs: int) -> Optional[list]:
         if sel in seen:
@@ -532,17 +530,17 @@ def _find_certificate(pool: list, need: dict, inv) -> Optional[list]:
             return sorted(sel)
         miss = next(inv[i] for om in sorted(sel) for i in _bits(om)
                     if not union >> inv[i] & 1)
-        if miss not in by_bit:
-            by_bit[miss] = [om for om in pool if om >> miss & 1]
-        for om in by_bit[miss]:
-            if om not in sel and all(need[om] & o2 for o2 in sel):
-                found = search(sel | {om}, union | om, needs | need[om])
+        for om in holding(miss):
+            if all(need(om) & o2 for o2 in sel):
+                found = search(sel | {om}, union | om, needs | need(om))
                 if found is not None:
                     return found
         return None
 
-    for seed in pool:
-        found = search(frozenset([seed]), seed, need[seed])
+    seeds = heapq.merge(*(_candidates(1 << pi2, rest) for pi2, rest in groups),
+                        key=lambda om: (om.bit_count(), om))
+    for seed in filter(compatible, seeds):
+        found = search(frozenset([seed]), seed, need(seed))
         if found is not None:
             return found
     return None

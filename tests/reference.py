@@ -8,6 +8,9 @@ fast paths of ``afkit`` replaced, in their plain form.
 - ``truth_tables`` collects its read set with ``syntax.atoms`` and, with
   walk rows, builds each leaf as one comparison array and one broadcast per
   distinct image of the key.
+- ``coherence_closure`` keeps the connector-types whose members' inverses
+  all occur among the kept ones, until none is dropped: the closure that
+  the decider's fixpoint over 2-types replaced.
 """
 
 from __future__ import annotations
@@ -140,3 +143,18 @@ def truth_tables(formulas: Sequence, keys, rows=None,
     if walks is not None:
         yield [np.broadcast_to(c.any(axis=trail), (1,) + (2,) * len(keys))
                .reshape(1, -1) for c in conjoined]
+
+
+def coherence_closure(pool: Sequence) -> list:
+    """The greatest subset of ``pool`` (connector-types) in whose union
+    every member's inverses lie, in pool order: drop, until none is
+    dropped, each connector-type holding a 2-type whose inverse no kept
+    member holds."""
+    kept = list(pool)
+    while True:
+        union = {t for om in kept for t in om.types}
+        now = [om for om in kept
+               if all(t.inverse(2) in union for t in om.types)]
+        if now == kept:
+            return kept
+        kept = now

@@ -422,9 +422,8 @@ TEXT_OUTPUTS = [
      0, "SAT\n"
         "  {'stage': 'normalize', 'variables': 3, 'gammas': 1}\n"
         "  {'stage': 'types', 'count': 16, 'admissible': 16}\n"
-        "  {'stage': 'pool', 'compatible': 248}\n"
-        "  {'stage': 'closure', 'remaining': 248}\n"
-        "  {'stage': 'certificate', 'size': 1}\n"),
+        "  {'stage': 'fixpoint', 'two_types': 16}\n"
+        "  {'stage': 'certificate', 'size': 1, 'tested': 2}\n"),
     ("normalize", ["normalize", "{f}"],
      "forall x1 ((exists x2 r(x1,x2)) -> exists x2 r(x2,x1))",
      0, "(forall x1 forall x2 exists x3 _nf1(x2) -> r(x2,x3))"
@@ -504,9 +503,30 @@ def test_clause_cap_trips_before_the_product_is_built(formula_file):
                    b"exceeds the node cap of 1000000\n")
 
 
+@pytest.mark.parametrize("text,elements", [
+    ("(forall u exists v (r(u,v) & p(v))) & "
+     "(forall u (p(u) -> exists v (r(u,v) & !p(v))))", 480),
+    ("(exists u p(u)) & (forall u (p(u) -> exists v (r(v,u) & !p(v)))) & "
+     "(forall u (!p(u) -> exists v (r(u,v) & p(v))))", 300),
+], ids=["successor-colouring", "alternating-colouring"])
+def test_two_variable_models_in_bounded_memory(formula_file, text, elements):
+    # Listing every subset of every 1-type group took the first sentence
+    # 6.3 s and 316 MB, and the second tripped the pool cap after 3.4 s and
+    # 434 MB.  The child's address space is capped as above.
+    f = formula_file(S.render(S.fo2_to_af(S.parse(text))))
+    limit = 2 << 30
+    done = subprocess.run(**_af_command("model", f), timeout=30,
+                          preexec_fn=lambda: resource.setrlimit(
+                              resource.RLIMIT_AS, (limit, limit)))
+    assert (done.returncode, done.stderr) == (0, b"")
+    verdict, model = done.stdout.decode().split("\n", 1)
+    assert verdict == "SAT"
+    assert len(json.loads(model)["domain"]) == elements
+
+
 # sha256 of stdout: the `_pz` guard names and their order, each projection
 # as a decision tree, each closure conjunct once, and the
-# types/pool/closure/certificate trace rows.
+# types/fixpoint/certificate trace rows.
 REDUCE_DIGESTS = {
     1: "56b9c5c92659dc5308aed8f018617ef95e593929d6b296de4fd5010f02b9109f",
     3: "ad52dadead5551895796c090356c32b89b47f6f748a9df9e438c17a3c4d6faf6",
@@ -514,9 +534,9 @@ REDUCE_DIGESTS = {
     9: "b3e9bff02b8f37cafe22ccf6a2784a97336779b913c7724ab43e042bf348f20c",
 }
 SAT_TRACE_DIGESTS = [
-    ("af4", 3, 0, "f9c2f4acb782cce8543807b0ef222fbb5971a290b6d7ba44d33faa3a25a8d11d"),
-    ("af3", 12, 0, "bdf3462baba44a8ecc6271602e8fe473f8c872a2e4d2f42f3d319ec6fc47e582"),
-    ("af3", 30, 1, "c71f622999f1efe84f85cb9099d326fe0b9126b626ebb5eec15625ae4cb7ab82"),
+    ("af4", 3, 0, "f49f0d0639ebdf4d8e12a3cfc53371f54bc1e6e96f677b1a0dba707fc5695746"),
+    ("af3", 12, 0, "3aea9affba81947c87a10ce2e8fd5d84293084ec71e2f9fec3d397f5027ba49d"),
+    ("af3", 30, 1, "c7f90b1a4978966cbf249d61182a576238c88eedbe2dcbc972bcfeb6cae18e36"),
 ]
 
 
@@ -572,12 +592,13 @@ def test_cap_message_bytes(capsys, formula_file, monkeypatch, verb, corpus,
     assert (code, out, err) == (3, "", f"resource cap exceeded: {message}\n")
 
 
-# AF3 entry 11 has three 1-type groups of 2,048 candidate connector-types:
-# a cap equal to the total passes, one below it trips at the third group.
+# AF3 entry 11's certificate search tests 72 candidate connector-types of
+# its three 1-type groups of 2,048: a cap equal to that count passes, one
+# below it trips at the last candidate.
 POOL_CAPS = [
-    ("6144", 0, "SAT\n", ""),
-    ("6143", 3, "", "resource cap exceeded: decide_af3 pool: 6144 candidate "
-                    "connector-types exceeds the cap of 6143\n"),
+    ("72", 0, "SAT\n", ""),
+    ("71", 3, "", "resource cap exceeded: decide_af3 pool: 72 candidate "
+                  "connector-types exceeds the cap of 71\n"),
 ]
 
 

@@ -17,7 +17,8 @@ import afkit.semantics as M
 import afkit.syntax as S
 import afkit.words as W
 import reference as R
-from corpus import AF3_CORPUS, AF4_CORPUS, nf_text
+from corpus import (AF3_CORPUS, AF4_CORPUS, CLASSIFY_CORPUS, LEVEL2_CORPUS,
+                    PRODUCT_CORPUS, nf_text)
 
 
 def test_normalize_recognizes_normal_shape():
@@ -150,10 +151,10 @@ def test_decide_af3_verdicts_and_traces():
 
 
 def test_unsat_verdicts_end_with_an_empty_pool():
-    """Every UNSAT AF3 entry and ``UNSAT_PROBE`` is decided by the
-    coherence closure: the certificate row names an empty pool after
-    closure, never a pool without a coherent clique, a branch no known
-    input reaches."""
+    """Every UNSAT AF3 entry and ``UNSAT_PROBE`` is decided by the fixpoint
+    over 2-types: the certificate row names an empty fixpoint and no
+    candidate tested, never a fixpoint without a coherent clique, a branch
+    no known input reaches."""
     unsat = [(gs, d) for gs, d, expect in AF3_CORPUS + [UNSAT_PROBE]
              if not expect]
     assert len(unsat) == 13
@@ -161,9 +162,9 @@ def test_unsat_verdicts_end_with_an_empty_pool():
         res = X.decide_af3(X.normalize(S.parse(nf_text(gs, d, 2))))
         assert not res.satisfiable
         assert res.trace[-2:] == [
-            {"stage": "closure", "remaining": 0},
-            {"stage": "certificate", "size": 0,
-             "reason": "empty pool after closure"}]
+            {"stage": "fixpoint", "two_types": 0},
+            {"stage": "certificate", "size": 0, "tested": 0,
+             "reason": "empty fixpoint"}]
 
 
 def test_decide_af3_rejects_wrong_level():
@@ -246,24 +247,43 @@ BACKTRACK_PROBE = (["!p(x2) | !s(x3) -> r(x1,x2) | !p(x2)",
                    "p(x1) & (!r(x2,x3) | !r(x2,x2) & s(x1))", True)
 
 
-def decided_pool(nf) -> tuple:
-    """decide_af3's trace and the set of compatible connector-types it
-    hands to the certificate search, named as sets of admissible types."""
+def decider_tables(nf) -> tuple:
+    """decide_af3's keys, index of admissible 2-types, inverse map, start
+    masks, link rows and witness rows, computed as it computes them, with
+    (A) of ``assert_two_type_invariants`` checked on the way."""
     keys2, codes = X._typed_keys(nf, T.DEFAULT_ATOM_CAP, "decide_af3")
     admissible = [T.type_at(keys2, i) for i in codes.tolist()]
-    needs = []
-    real = X._find_certificate
+    index = {t: i for i, t in enumerate(admissible)}
+    assert all(t.inverse(2) in index for t in admissible)
+    inv = [index[t.inverse(2)] for t in admissible]
+    starts, = T.truth_tables([], keys2, walks=((1, 1, 2),),
+                             extras=[[g] for g in nf.gammas])
+    start_masks = [X._masks(t, codes)[0] for t in starts]
+    chunks = X._link_tables(nf, keys2, codes, T.DEFAULT_ATOM_CAP,
+                            "link/witness tables")
+    link, *wit = [sum((X._masks(t, codes) for t in tables), [])
+                  for tables in zip(*chunks)] or [[]]
+    return keys2, index, inv, start_masks, link, wit
 
-    def spy(pool, need, inv):
-        needs.append(need)
-        return real(pool, need, inv)
 
-    trace: list = []
-    with mock.patch.object(X, "_find_certificate", spy):
-        X.decide_af3(nf, trace=trace)
-    named = {T.ConnectorType(frozenset(admissible[i] for i in X._bits(om)))
-             for om in needs[0]}
-    return trace, named
+def as_mask(om, index) -> int:
+    """A connector-type as a bitmask over the admissible 2-types."""
+    return sum(1 << index[t] for t in om.types)
+
+
+def decided_with_fixpoint(nf) -> tuple:
+    """decide_af3's result and the set of 2-types its fixpoint keeps."""
+    fixpoints = []
+    real = X._fixpoint
+
+    def spy(*args):
+        fixpoints.append(real(*args))
+        return fixpoints[-1]
+
+    with mock.patch.object(X, "_fixpoint", spy):
+        res = X.decide_af3(nf)
+    [union] = fixpoints
+    return res, union
 
 
 @pytest.fixture
@@ -282,18 +302,41 @@ def memo_consistent(monkeypatch):
     monkeypatch.setattr(T, "consistent", consistent)
 
 
-def assert_pool_matches_reference(nf, candidates):
-    trace, pool = decided_pool(nf)
-    reference = {om for om in candidates if T.compatible(om, nf)}
-    assert pool == reference
-    assert [row["compatible"] for row in trace
-            if row["stage"] == "pool"] == [len(reference)]
+def assert_decider_matches_reference(nf, candidates,
+                                     check_compatible=True) -> tuple:
+    """decide_af3 against its reference pool: the candidates that
+    ``X._compatible`` accepts on the decider's tables, closed by
+    ``reference.coherence_closure``.
+    - With ``check_compatible``, ``X._compatible`` accepts exactly the
+      candidates that ``aftypes.compatible`` accepts.  The search asks it
+      of each candidate it reads, so every candidate it reads as
+      compatible is.
+    - The fixpoint holds every 2-type of the reference pool, and is empty
+      iff that pool is.
+    - The certificate is the one ``eager_find_certificate`` finds in the
+      reference pool, in (popcount, mask) order.
+    Returns that pool and certificate as masks."""
+    _keys2, index, inv, start_masks, link, wit = decider_tables(nf)
+    accepted = [om for om in candidates if X._compatible(
+        as_mask(om, index), inv, start_masks, wit, link)]
+    if check_compatible:
+        assert accepted == [om for om in candidates if T.compatible(om, nf)]
+    pool = sorted((as_mask(om, index) for om in R.coherence_closure(accepted)),
+                  key=lambda m: (m.bit_count(), m))
+    res, union = decided_with_fixpoint(nf)
+    assert all(m & ~union == 0 for m in pool)
+    assert (union == 0) == (not pool)
+    need = {m: sum(1 << inv[i] for i in X._bits(m)) for m in pool}
+    found = eager_find_certificate(pool, need, inv)
+    assert found == (sorted(as_mask(om, index) for om in res.certificate)
+                     if res.satisfiable else None)
+    return pool, found
 
 
 def test_pool_matches_reference_compatibility(memo_consistent):
-    """The vectorized test of decide_af3 (start, link and witness tables)
-    accepts exactly the candidates that aftypes.compatible accepts, on
-    every sentence of at most 300 candidates and on the probes."""
+    """On every sentence of at most 300 candidates and on the probes, the
+    decider agrees with the reference pool of ``aftypes.compatible`` (see
+    ``assert_decider_matches_reference``)."""
     checked = 0
     probes = [WITNESS_PROBE, LINK_PROBE, WIDE_PROBE, START_PROBE]
     for gs, d, _expect in AF3_CORPUS + probes:
@@ -302,58 +345,50 @@ def test_pool_matches_reference_compatibility(memo_consistent):
             nf, None if (gs, d, _expect) in probes else 300)
         if candidates is None:
             continue
-        assert_pool_matches_reference(nf, candidates)
+        assert_decider_matches_reference(nf, candidates)
         checked += 1
     assert checked == 31
 
 
 def test_pool_respects_start_masks():
     """At x1 = x2 the witness conjunct contradicts itself, so no
-    connector-type is compatible; a pool that ignores the start masks
-    (only t/3 atoms make them matter) admits 32,640 and answers SAT."""
+    connector-type is compatible and the fixpoint is empty; a decider that
+    ignores the start masks (only t/3 atoms make them matter) answers
+    SAT."""
     nf = X.normalize(S.parse(nf_text(["!t(x1,x2,x3) & t(x2,x2,x3)"],
                                      "!t(x1,x2,x1) & r(x2,x3)", 2)))
     trace: list = []
     assert not X.decide_af3(nf, trace=trace).satisfiable
-    assert [row["compatible"] for row in trace if row["stage"] == "pool"] == [0]
+    assert [row["two_types"] for row in trace
+            if row["stage"] == "fixpoint"] == [0]
 
 
-def test_pool_rejects_groups_too_wide_for_a_mask():
-    """Eight keys over r and s give 1-type groups of 64 admissible 2-types:
-    past the default pool cap, and with a cap that would admit them, past
-    the 63 members an int64 candidate mask holds; neither wraps."""
+def test_decides_with_64_member_groups():
+    """Eight keys over r and s give four 1-type groups of 64 admissible
+    2-types, 2^63 candidates each: the search reads the smallest first and
+    tests four of them."""
     nf = X.normalize(S.parse(nf_text(["r(x2,x3) & s(x3,x2)"],
                                      "r(x1,x1) | !r(x1,x1) | s(x1,x1)", 2)))
-    with pytest.raises(S.ResourceError, match=re.escape(
-            f"decide_af3 pool: {1 << 63} candidate connector-types exceeds "
-            f"the cap of {X.DEFAULT_POOL_CAP}")):
-        X.decide_af3(nf)
-    with pytest.raises(S.ResourceError, match=re.escape(
-            "decide_af3 pool: a 1-type group of 64 2-types exceeds the int64 "
-            "mask limit of 63")):
-        X.decide_af3(nf, pool_cap=1 << 70)
+    start = time.perf_counter()
+    res = X.decide_af3(nf, want_model=True)
+    assert time.perf_counter() - start < 1.0
+    assert res.trace[1:3] == [
+        {"stage": "fixpoint", "two_types": 256},
+        {"stage": "certificate", "size": 1, "tested": 4}]
+    assert len(res.id_model.domain) == 15
+    assert X.tables_satisfy(nf, res.id_model.tables, 15)
 
 
 def assert_two_type_invariants(nf) -> int:
-    """The facts decide_af3 relies on, on its own tables: (A) the
-    admissible 2-types are closed under inverse; (B) every 1-type group
-    holds pi squared, its own inverse; (C) link[pi squared] holds the whole
-    group and every link[inv e] holds pi squared; (D) within the group,
-    each start mask lies in wit[g][pi squared].  Returns the group count."""
-    keys2, codes = X._typed_keys(nf, T.DEFAULT_ATOM_CAP, "decide_af3")
-    admissible = [T.type_at(keys2, i) for i in codes.tolist()]
-    index = {t: i for i, t in enumerate(admissible)}
-    assert all(t.inverse(2) in index for t in admissible)
-    inv = [index[t.inverse(2)] for t in admissible]
-    starts, = T.truth_tables([], keys2, walks=((1, 1, 2),),
-                             extras=[[g] for g in nf.gammas])
-    start_masks = [X._masks(t, codes)[0] for t in starts]
-    chunks = X._link_tables(nf, keys2, codes, T.DEFAULT_ATOM_CAP,
-                            "link/witness tables")
-    link, *wit = [sum((X._masks(t, codes) for t in tables), [])
-                  for tables in zip(*chunks)] or [[]]
+    """Facts of decide_af3's own tables: (A) the admissible 2-types are
+    closed under inverse; (B) every 1-type group holds pi squared, its own
+    inverse; (C) link[pi squared] holds the whole group and every
+    link[inv e] holds pi squared; (D) within the group, each start mask
+    lies in wit[g][pi squared]; (E) every e links to itself, e in
+    link[inv e].  Returns the group count."""
+    keys2, index, inv, start_masks, link, wit = decider_tables(nf)  # (A)
     groups: dict = {}
-    for i, t in enumerate(admissible):
+    for t, i in index.items():
         pi = T.restrict_to_ones(t)
         groups[pi] = groups.get(pi, 0) | 1 << i
     for pi, group in groups.items():
@@ -362,15 +397,17 @@ def assert_two_type_invariants(nf) -> int:
         assert link[pi2] & group == group
         assert all(link[inv[e]] >> pi2 & 1 for e in X._bits(group))
         assert all(s & group & ~w[pi2] == 0 for s, w in zip(start_masks, wit))
+        assert all(link[inv[e]] >> e & 1 for e in X._bits(group))
     return len(groups)
 
 
 def test_decider_two_type_invariants():
-    """An admissible eta on (a, b) extends to the 3-type of (a, a, b): the
-    type filter applies delta on every triple over the pair.  So (A)-(D)
-    of ``assert_two_type_invariants`` hold on the AF3 corpus, the probes,
-    the reduced AF4 entries within the atom cap and random width-2
-    sentences, and ``_group_pool`` does not test them."""
+    """An admissible eta on (a, b) extends to the 3-types of (a, a, b) and
+    (a, b, a): the type filter applies delta on every triple over the pair.
+    So (A)-(E) of ``assert_two_type_invariants`` hold on the AF3 corpus, the
+    probes, the reduced AF4 entries within the atom cap and random width-2
+    sentences.  The decider looks (A) and (B) up without a fallback, and
+    ``_fixpoint`` does not test (C)-(E)."""
     sentences = [X.normalize(S.parse(nf_text(gs, d, 2)))
                  for gs, d, _ in AF3_CORPUS + [WITNESS_PROBE, LINK_PROBE,
                                                WIDE_PROBE, START_PROBE]]
@@ -414,9 +451,9 @@ def test_certificate_matches_reference_coherence(memo_consistent):
 
 
 def eager_find_certificate(pool: list, need: dict, inv):
-    """The certificate search with every pool member indexed by each of its
-    bits before the search starts: the reference for the lazy index of
-    ``X._find_certificate``."""
+    """The certificate search over a listed pool, every member indexed by
+    each of its bits before the search starts: the reference for
+    ``X._find_certificate``, which reads its candidates lazily."""
     by_bit: dict = {}
     for om in pool:
         for i in X._bits(om):
@@ -446,32 +483,17 @@ def eager_find_certificate(pool: list, need: dict, inv):
     return None
 
 
-def assert_search_matches_eager(nf) -> tuple:
-    """decide_af3 hands the search its pool in (popcount, mask) order, and
-    the lazy search returns the certificate of the eager reference; the
-    pool and that certificate."""
-    searches = []
-    real = X._find_certificate
-
-    def spy(pool, need, inv):
-        assert pool == sorted(pool, key=lambda m: (m.bit_count(), m))
-        found = real(pool, need, inv)
-        searches.append((pool, found, eager_find_certificate(pool, need, inv)))
-        return found
-
-    with mock.patch.object(X, "_find_certificate", spy):
-        X.decide_af3(nf)
-    [(pool, lazy, eager)] = searches
-    assert lazy == eager
-    return pool, lazy
-
-
 def test_lazy_certificate_search_matches_eager():
+    """On the whole AF3 corpus and the probes, the decider's certificate
+    and fixpoint agree with the eager search over the reference pool of
+    ``X._compatible``, which ``test_pool_matches_reference_compatibility``
+    pins to ``aftypes.compatible``."""
     for gs, d, _expect in AF3_CORPUS + [WITNESS_PROBE, LINK_PROBE,
                                         UNSAT_PROBE, WIDE_PROBE,
                                         BACKTRACK_PROBE]:
-        pool, found = assert_search_matches_eager(
-            X.normalize(S.parse(nf_text(gs, d, 2))))
+        nf = X.normalize(S.parse(nf_text(gs, d, 2)))
+        pool, found = assert_decider_matches_reference(
+            nf, connector_candidates(nf), check_compatible=False)
     # The search from a seed only adds members, so BACKTRACK_PROBE's
     # certificate, which lacks the first pool member, shows that the first
     # seed's search failed and a second seed was tried.
@@ -703,18 +725,71 @@ def test_decide_five_variable_model():
                             len(res.id_model.domain))
 
 
-@pytest.mark.xfail(raises=S.ResourceError, strict=True,
-                   reason="ROADMAP item 3: the pool enumerates every subset "
-                   "of a 1-type group and trips the pool cap")
+def assert_decides_sat_quickly(f) -> X.SatResult:
+    """``f`` decides SAT within 1 s, with a model ``tables_satisfy``
+    accepts."""
+    start = time.perf_counter()
+    res = X.decide(f, want_model=True)
+    assert time.perf_counter() - start < 1.0
+    assert res.satisfiable
+    assert X.tables_satisfy(X.normalize(f), res.id_model.tables,
+                            len(res.id_model.domain))
+    return res
+
+
 def test_guarded_sentence_decides():
     """A guarded two-variable sentence with a one-element model."""
     f = S.fo2_to_af(S.parse(
         "exists u (p(u) & forall v (r(u,v) -> exists u (r(v,u) & !p(u))))"))
     assert X.brute_force_sat(f, max_n=2) is not None
-    res = X.decide(f, want_model=True)
-    assert res.satisfiable
-    assert X.tables_satisfy(X.normalize(f), res.id_model.tables,
-                            len(res.id_model.domain))
+    assert_decides_sat_quickly(f)
+
+
+# Two-variable sentences that tripped the pool cap or took seconds when the
+# decider listed every subset of every 1-type group.
+SLOW_FO2 = [
+    ("level2", "exists x1 forall x2 (t(x2,x1,x2) | t(x1,x1,x2))"),
+    ("classify", "forall x1 forall x2 (r(x1,x2) -> t(x1,x2,x2))"),
+    ("successor-colouring",
+     "(forall u exists v (r(u,v) & p(v))) & "
+     "(forall u (p(u) -> exists v (r(u,v) & !p(v))))"),
+    ("alternating-colouring",
+     "(exists u p(u)) & (forall u (p(u) -> exists v (r(v,u) & !p(v)))) & "
+     "(forall u (!p(u) -> exists v (r(u,v) & p(v))))"),
+]
+
+
+def two_variable_corpus() -> list:
+    """The closed sentences of the classification, product and level-2
+    corpora that ``fo2_to_af`` accepts, as (id, text)."""
+    out = []
+    for name, texts in (("classify", [t for t, *_ in CLASSIFY_CORPUS]),
+                        ("product", PRODUCT_CORPUS),
+                        ("level2", LEVEL2_CORPUS)):
+        for i, text in enumerate(texts, 1):
+            f = S.parse(text)
+            if S.free_vars(f):
+                continue
+            try:
+                S.fo2_to_af(f)
+            except S.FormulaError:
+                continue
+            out.append((f"{name}-{i}", text))
+    return out
+
+
+FO2_CORPUS = two_variable_corpus()
+
+
+def test_two_variable_corpus_size():
+    assert len(FO2_CORPUS) == 38
+
+
+@pytest.mark.parametrize("text", [t for _, t in SLOW_FO2 + FO2_CORPUS],
+                         ids=[i for i, _ in SLOW_FO2 + FO2_CORPUS])
+def test_two_variable_sentences_decide(text):
+    """Each decides SAT through ``fo2_to_af`` within 1 s, with a model."""
+    assert_decides_sat_quickly(S.fo2_to_af(S.parse(text)))
 
 
 def test_decide_respects_variable_cap():
@@ -983,21 +1058,22 @@ def test_adjacent_closure_matches_all_walks_on_random_sentences(nf):
 @settings(max_examples=60, deadline=None)
 @given(nf=normal_forms(ells=[2]))
 def test_pool_matches_reference_on_random_sentences(nf):
-    """Random width-2 normal forms of at most 300 candidates."""
+    """Random width-2 normal forms of at most 300 candidates, against the
+    reference pool of ``aftypes.compatible``."""
     candidates = connector_candidates(nf, 300)
     if candidates is not None:
-        assert_pool_matches_reference(nf, candidates)
+        assert_decider_matches_reference(nf, candidates)
 
 
 @settings(max_examples=60, deadline=None)
 @given(nf=normal_forms(ells=[2]))
 def test_lazy_certificate_search_matches_eager_on_random_sentences(nf):
-    """Random width-2 normal forms; a tripped pool cap leaves nothing to
-    compare."""
-    try:
-        assert_search_matches_eager(nf)
-    except S.ResourceError:
-        pass
+    """Random width-2 normal forms of at most 4,096 candidates, against the
+    reference pool of ``X._compatible``."""
+    candidates = connector_candidates(nf, 1 << 12)
+    if candidates is not None:
+        assert_decider_matches_reference(nf, candidates,
+                                         check_compatible=False)
 
 
 # ---------------------------------------------------------------------------
