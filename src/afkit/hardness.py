@@ -604,13 +604,15 @@ def embed_and_expand(tree: ConfigTree, n: int) -> M.Structure:
             add(_pred_s(sym), [w for w, s in zip(vw, v.tape) if s == sym])
         add("H", [vw[v.head]])
         add(G_N, [pair + w for w in vw])
-        add(G_2N, [pair + c for c in itertools.product(pair, repeat=2 * n)])
+        add(G_2N, itertools.product(*[(e,) for e in pair], *[pair] * (2 * n)))
     add("R", [elems[id(tree.root)]])
     for u, side, _tau, v in tree.edges():
         (a, b), (a2, b2) = elems[id(u)], elems[id(v)]
         mid = (b, a, a2, b2)
         add(f"E_{side}", [mid])
-        add(F_N, [c + mid + c2 for c in words[id(u)] for c2 in words[id(v)]])
+        # The parent's words, then mid, then the child's words.
+        add(F_N, itertools.product(*[(a, b)] * n, *[(e,) for e in mid],
+                                   *[(a2, b2)] * n))
 
     arities = {"V": 2, "R": 2, "E_l": 4, "E_r": 4, "H": n, O_PRED: 1,
                G_N: n + 2, G_2N: 2 * n + 2, F_N: 2 * n + 4}

@@ -259,7 +259,18 @@ def evaluate(s: Structure, f: Formula,
     columns; when phi is one atom over g's variables, phi is tested on the
     image of the matches, zipped from the same columns, in one C-level
     pass, so a sentence such as ``forall xs (F(xs) -> F(perm xs))`` is one
-    containment test, and ``forall xs (F(xs) -> F(xs))`` none.
+    containment test, and ``forall xs (F(xs) -> F(xs))`` none.  Otherwise
+    the leading literal tests of the body, under forall the conjuncts of
+    the antecedent A of ``phi = A -> C`` and under exists the conjuncts
+    other than g, nested ``And``s flattened, up to the first that is not an
+    atom on the quantified variables, its negation or the biconditional of
+    two such, filter the matches in C-level stages (``compress`` over
+    ``tee``d rows, with ``itemgetter``, membership, ``not_`` and ``eq``
+    maps), and the remaining closures run only on the matches that pass.
+    The chain is lazy: a match is tested stage by stage, and the rest of
+    its body is asked, before the next match is read, so the atoms asked,
+    their order and the point where an error is raised are those of a
+    loop that tests each match in turn.
     Every other quantifier enumerates the domain, except that one whose
     variable is not free in its body evaluates the body once.  An unbound
     variable or an uninterpreted predicate raises ``SemanticsError`` when
@@ -281,11 +292,50 @@ def _or(left, right):
 
 def _connective(parts: list, stop: bool):
     """And (``stop`` False) or Or (``stop`` True) of compiled parts, left to
-    right, stopping at the first part that decides it: a fold of
-    short-circuit pairs, and one part is itself."""
+    right, stopping at the first part that decides it: a right fold of
+    short-circuit pairs, ``p1 op (p2 op (...))``, so the first part is asked
+    without descending into the others, and one part is itself."""
     if not parts:
         return lambda env: not stop
-    return functools.reduce(_or if stop else _and, parts)
+    pair = _or if stop else _and
+    return functools.reduce(lambda right, left: pair(left, right),
+                            reversed(parts))
+
+
+def _conjuncts(fs) -> list:
+    """The conjuncts of the formulas ``fs``, left to right, with nested
+    ``And``s flattened."""
+    return [c for g in fs
+            for c in (_conjuncts(g.args) if isinstance(g, And) else (g,))]
+
+
+def _images(at: list, rows):
+    """The argument tuples at the positions ``at`` of each of ``rows``; with
+    no positions, an endless ``repeat(())``, which the stages read only in
+    step with the rows."""
+    if len(at) == 1:
+        return zip(map(operator.itemgetter(*at), rows))
+    return map(operator.itemgetter(*at), rows) if at else itertools.repeat(())
+
+
+def _filtered(stages: list, cols: tuple):
+    """The rows zipped from the columns ``cols`` that pass every stage, as
+    one lazy chain: each row is tested by the stages in order, and stops at
+    the first it fails, before the next row is read.  The first stage reads
+    its arguments from the columns; each later one from a ``tee`` of the
+    rows that the stages before it passed."""
+    rows = zip(*cols)
+    if not stages:
+        return rows
+    first, *later = stages
+    rows = itertools.compress(rows, first(
+        lambda at: zip(*map(cols.__getitem__, at)) if at
+        else itertools.repeat(())))
+    for stage in later:
+        rows, probe = itertools.tee(rows)
+        rows = itertools.compress(
+            rows, stage(lambda at: _images(at, probe.__copy__())))
+    return rows
 
 
 class _Compiler:
@@ -393,8 +443,9 @@ class _Compiler:
         return quantify
 
     def quantifier(self, f: Formula, scope: dict):
-        """A guarded quantifier over the guard's matches, each written to
-        the chain's slots in turn; any other over the domain.  The guard is
+        """A guarded quantifier over the guard's matches that pass the
+        body's leading literal tests, each written to the chain's slots in
+        turn; any other over the domain.  The guard is
         that of the first split whose guard holds the chain's variables,
         except a body that is one atom, which is left to the domain."""
         cls, chain, body = syntax.quantifier_block(f)
@@ -418,16 +469,56 @@ class _Compiler:
         inner_scope = self.slots(quantified, scope)
         lo = inner_scope[quantified[0]]
         hi = lo + len(quantified)
-        body = _connective([self.compile(g, inner_scope) for g in rest], False)
+        # The conjuncts that a match must pass before the rest is asked:
+        # under exists the body's, under forall the antecedent's.
+        if stop:
+            parts, then = _conjuncts(rest), None
+        elif isinstance(rest[0], Implies):
+            parts, then = _conjuncts((rest[0].left,)), rest[0].right
+        else:
+            parts, then = [], rest[0]
+        stages = []
+        for g in parts:
+            stage = self.test(g, quantified)
+            if stage is None:
+                break
+            stages.append(stage)
+        parts = parts[len(stages):]
+        body = _connective([self.compile(g, inner_scope) for g in parts], False)
+        if then is not None:
+            antecedent, consequent = body, self.compile(then, inner_scope)
+            body = consequent if not parts else (
+                lambda env: not antecedent(env) or consequent(env))
 
         def quantify(env):
             count, cols = matches(env)
             if count:
-                for env[lo:hi] in zip(*columns(cols)):
+                for env[lo:hi] in _filtered(stages, columns(cols)):
                     if body(env) == stop:
                         return stop
             return not stop
         return quantify
+
+    def test(self, f: Formula, quantified: tuple):
+        """A literal test of f over rows of the ``quantified`` variables, or
+        None when f is not one: an atom on those variables, the negation of
+        a test or the biconditional of two.  The test is the function taking
+        ``images``, which maps argument positions in a row to the iterator
+        of the argument tuples there, row by row, to the iterator of f's
+        truth values, each asked of ``member`` as the atom's closure asks
+        it."""
+        if isinstance(f, Not):
+            body = self.test(f.body, quantified)
+            return body and (lambda images: map(operator.not_, body(images)))
+        if isinstance(f, Iff):
+            left = self.test(f.left, quantified)
+            right = left and self.test(f.right, quantified)
+            return right and (lambda images: map(operator.eq, left(images),
+                                                 right(images)))
+        if not isinstance(f, Atom) or not set(f.args) <= set(quantified):
+            return None
+        at, member = [quantified.index(a) for a in f.args], self.member(f)
+        return lambda images: map(member, images(at))
 
     def one_atom(self, guard: Atom, variables: tuple, matches, atom: Atom,
                  stop: bool):

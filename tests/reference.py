@@ -11,6 +11,9 @@ fast paths of ``afkit`` replaced, in their plain form.
 - ``coherence_closure`` keeps the connector-types whose members' inverses
   all occur among the kept ones, until none is dropped: the closure that
   the decider's fixpoint over 2-types replaced.
+- ``per_match`` evaluates a guarded block one match of its guard at a
+  time, asking its body's atoms with short-circuit: the loop that the
+  evaluator's filter stages replaced.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Optional, Sequence
 from afkit import syntax
 from afkit import words as W
 from afkit.aftypes import DEFAULT_ATOM_CAP, atom_key, sort_keys
+from afkit.semantics import SemanticsError
 from afkit.syntax import Atom, Formula, FormulaError, ResourceError
 
 
@@ -158,3 +162,53 @@ def coherence_closure(pool: Sequence) -> list:
         if now == kept:
             return kept
         kept = now
+
+
+def _short_circuit(f: Formula, env: dict, holds) -> bool:
+    """A quantifier-free formula under ``env``, each atom asked of
+    ``holds``, left to right, stopping where a connective is decided."""
+    if isinstance(f, Atom):
+        return holds(f.pred, tuple(env[a] for a in f.args))
+    if isinstance(f, syntax.Not):
+        return not _short_circuit(f.body, env, holds)
+    if isinstance(f, syntax.And):
+        return all(_short_circuit(c, env, holds) for c in f.args)
+    if isinstance(f, syntax.Or):
+        return any(_short_circuit(c, env, holds) for c in f.args)
+    if isinstance(f, syntax.Implies):
+        return (not _short_circuit(f.left, env, holds)
+                or _short_circuit(f.right, env, holds))
+    if isinstance(f, syntax.Iff):
+        return (_short_circuit(f.left, env, holds)
+                == _short_circuit(f.right, env, holds))
+    raise FormulaError(f"not quantifier-free: {f!r}")
+
+
+def per_match(s, f: Formula, assignment: dict, holds) -> bool:
+    """The guarded block f, ``forall xs (g -> phi)`` or ``exists xs (... &
+    g & ...)`` with a quantifier-free body, under ``assignment``, one match
+    of its guard at a time.  The guard is the first of
+    ``syntax.guard_splits`` on the block's variables, as the evaluator
+    picks it; its matches are the tuples of its extension in ``s``, in the
+    extension's order, that agree at repeated variables and with
+    ``assignment`` at the others; an uninterpreted guard raises.  On each match the body, without the
+    guard, is asked of ``holds`` by ``_short_circuit``, and the first match
+    that decides the block ends it."""
+    cls, chain, body = syntax.quantifier_block(f)
+    guard, rest = next((g, r) for g, r in syntax.guard_splits(cls, body)
+                       if g is not body and set(chain) <= set(g.args))
+    ext = s.extensions.get((guard.pred, guard.arity))
+    if ext is None:
+        raise SemanticsError(f"predicate {guard.pred}/{guard.arity} not interpreted")
+    for t in ext:
+        binding: dict = {}
+        if any(binding.setdefault(a, v) != v if a in chain
+               else assignment[a] != v for a, v in zip(guard.args, t)):
+            continue
+        env = {**assignment, **binding}
+        if cls is syntax.Forall:
+            if not _short_circuit(rest[0], env, holds):
+                return False
+        elif all(_short_circuit(c, env, holds) for c in rest):
+            return True
+    return cls is syntax.Forall

@@ -638,6 +638,18 @@ ATM_VERIFY_DIGESTS = [
     ("dodge", "1", "1283592065daf836f424abc4f8facb8dcb4ec8ea0a1269c0e74ae04635ff0b71"),
     ("dodge", "11", "ad784131678c7a0a51ec3f212cdc446664f00632f50d7ffcf2972977d0b68bd9"),
     ("dodge", "111", "f853237237f530ad427b0f4d2fdeda8a2ef6558993e21b4e0b1041e0cea7cd3f"),
+    # Recorded before the guarded loops filtered their matches on the
+    # leading literals of the body: the inputs on which the filter does the
+    # most work.
+    ("hop", "1111", "dfc9eae00840233ed799b3d5e5b0d6018117a2c6f85718baafbbe44bc5fa2bba"),
+    ("hop", "11111", "c22c0511f6679290a0edb516280c08c6717dd6c5775b4aaaf88862fa1abb866d"),
+    ("hop", "111111", "98e62424a2b31e3313214a05ac79295d3874ab41c13b154e73b5eefb8585b2b0"),
+    ("fork", "1111", "8013774c78622a11f23d6e4fe590b5d1d10d13d6c6a7beb7c34eb41259ff1ef1"),
+    ("fork", "11111", "cddb33f19f1045054c92e3bbd7a79e410776e12a6624b37d0eb68e6b34a440e4"),
+    ("fork", "111111", "b39cd2b8f56ada600134b383baf346dd28ddfb472d8d67f6569420405747f454"),
+    ("dodge", "1111", "bf0720b1cae02ad33ad1c746fbfe2ae3ee6f8901ece9a061e6e456f9112ca1ca"),
+    ("dodge", "11111", "fffdf9bed32c18712468517af1f182ed310cfbac88ee761e60ca562ea8e2cd8d"),
+    ("dodge", "111111", "958dd9f8af3dacb27edc4bd9862cf2f395f4f57b727647d3f032b090d6323a93"),
 ]
 
 

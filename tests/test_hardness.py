@@ -220,6 +220,64 @@ def test_fault_injection_fails_exactly_the_saturation_conjunct(
             if r["verdict"] == "fail"} == failing
 
 
+def _fault(machine, word, fault):
+    """The witness structure of the machine on the word with one fault on
+    its last vertex, a leaf: ``second-head`` adds an H word at the square
+    after the head, ``moved-head`` moves the head there, ``symbol``
+    rewrites that square's symbol, and ``state`` replaces the vertex's
+    state."""
+    status, tree = H.simulate_atm(machine, word)
+    assert status == "accept"
+    n = len(word)
+    structure = H.embed_and_expand(tree, n)
+    exts = {key: set(ext) for key, ext in structure.extensions.items()}
+    i = tree.size() - 1
+    leaf = list(tree.vertices())[i]
+    pair = (f"0_v{i}", f"1_v{i}")
+    square = (leaf.head + 1) % (1 << n)
+    off_head = H.bin_word(*pair, square, n)
+    if fault == "second-head":
+        exts[("H", n)].add(off_head)
+    elif fault == "moved-head":
+        exts[("H", n)] -= {H.bin_word(*pair, leaf.head, n)}
+        exts[("H", n)].add(off_head)
+    elif fault == "symbol":
+        old = leaf.tape[square]
+        new = next(a for a in machine.alphabet if a != old)
+        exts[(f"S_{old}", n)].remove(off_head)
+        exts.setdefault((f"S_{new}", n), set()).add(off_head)
+    else:
+        new = next(q for q in machine.states if q != leaf.state)
+        exts[(f"Q_{leaf.state}", 2)].remove(pair)
+        exts.setdefault((f"Q_{new}", 2), set()).add(pair)
+    return M.Structure(structure.domain,
+                       {key: frozenset(ext) for key, ext in exts.items()})
+
+
+@pytest.mark.parametrize("word", ["11", "111"])
+@pytest.mark.parametrize("machine", ["hop", "fork", "dodge"])
+@pytest.mark.parametrize("fault, failing", [
+    # phi4's antecedent H(us) & H(vs) holds on two words of one vertex.
+    ("second-head", {"phi4"}),
+    # phi8's antecedent !H(us) & eq(us, vs) holds off the head, where the
+    # child's symbol differs from the parent's.
+    ("symbol", {"phi8"}),
+    # phi9's trigger holds at the parent's head; the child's head or state
+    # is not the one the transition gives (a state with transitions and no
+    # successor also fails phi7).
+    ("moved-head", {"phi9"}),
+    ("state", {"phi7", "phi9"}),
+])
+def test_fault_injection_fails_exactly_the_filtered_conjunct(
+        machine, word, fault, failing):
+    # The failing sets were observed before the guarded loops filtered
+    # their matches on the body's leading literals.
+    report = H.check_conjuncts(H.encode_atm(_machine(machine), word),
+                               _fault(_machine(machine), word, fault))
+    assert {r["conjunct"] for r in report["conjuncts"]
+            if r["verdict"] == "fail"} == failing
+
+
 # ---------------------------------------------------------------------------
 # Each distinct conjunct checked once
 

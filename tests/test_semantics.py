@@ -13,6 +13,7 @@ import afkit.semantics as M
 import afkit.syntax as S
 import afkit.words as W
 from corpus import LEVEL2_CORPUS, PRODUCT_CORPUS
+from reference import per_match
 
 
 def test_structure_json_roundtrip():
@@ -465,6 +466,148 @@ def test_one_atom_guarded_quantifiers_match_naive_oracle(data):
         lay = M.layered_from_structure(s, _layer_width(f))
         assert M.evaluate_layered(lay, f, assignment) == expected
         assert lay.overbound_queries == 0
+
+
+# ---------------------------------------------------------------------------
+# Filter stages: the literal tests that open a guarded body
+
+UNINTERPRETED = (("u", 1), ("w", 2))
+
+
+@st.composite
+def literal_tests(draw, names, preds, depth=2):
+    """An atom on ``names`` or, one time in six, on any variable (so it may
+    read one bound outside the block), its negation, the biconditional of
+    two, or the conjunction of two."""
+    kind = draw(st.integers(0, 3)) if depth else 0
+    if kind == 0:
+        name, arity = draw(st.sampled_from(preds))
+        pool = VARS if draw(st.integers(0, 5)) == 0 else names
+        return S.Atom(name, tuple(draw(st.lists(
+            st.sampled_from(pool), min_size=arity, max_size=arity))))
+    if kind == 1:
+        return S.Not(draw(literal_tests(names, preds, depth - 1)))
+    left = draw(literal_tests(names, preds, depth - 1))
+    right = draw(literal_tests(names, preds, depth - 1))
+    return S.Iff(left, right) if kind == 2 else S.And((left, right))
+
+
+@st.composite
+def filtered_guarded(draw, tails, preds=PREDS, distinct=False):
+    """forall chain (guard -> (l1 & ... & tail -> consequent)) or exists
+    chain (... & guard & ...) whose antecedent or conjuncts begin with one
+    to three literal tests, then up to two ``tails`` (at least one under
+    exists, so the block never reduces to one atom), some of them grouped
+    in a nested And; the guard may read variables bound outside the
+    chain."""
+    chain = draw(st.lists(st.sampled_from(VARS), min_size=1, max_size=3,
+                          unique=distinct))
+    names = list(dict.fromkeys(chain))
+    name, arity = draw(st.sampled_from(
+        [pa for pa in PREDS if pa[1] >= len(names)]))
+    extra = draw(st.lists(st.sampled_from(VARS), min_size=arity - len(names),
+                          max_size=arity - len(names)))
+    guard = S.Atom(name, tuple(draw(st.permutations(names + extra))))
+    forall = draw(st.booleans())
+    parts = (draw(st.lists(literal_tests(names, preds), min_size=1,
+                           max_size=3))
+             + draw(st.lists(tails, min_size=0 if forall else 1,
+                             max_size=2)))
+    i = draw(st.integers(0, len(parts)))
+    j = draw(st.integers(i, len(parts)))
+    if j - i >= 2:
+        parts[i:j] = [S.And(tuple(parts[i:j]))]
+    if forall:
+        antecedent = parts[0] if len(parts) == 1 else S.And(tuple(parts))
+        f, cls = S.Implies(guard, S.Implies(antecedent, draw(tails))), S.Forall
+    else:
+        at = draw(st.integers(0, len(parts)))
+        f, cls = S.And(tuple(parts[:at]) + (guard,) + tuple(parts[at:])), S.Exists
+    for v in reversed(chain):
+        f = cls(v, f)
+    return f
+
+
+def _positional(data, s, f):
+    """An assignment to x1..xk covering f's free variables, and its map."""
+    need = max((S.var_index(v) for v in S.free_vars(f)), default=0)
+    assignment = tuple(data.draw(st.lists(st.sampled_from(s.domain),
+                                          min_size=need, max_size=need)))
+    return assignment, {S.var(i + 1): a for i, a in enumerate(assignment)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_filtered_guarded_blocks_match_naive_oracle(data):
+    s = data.draw(structures())
+    f = data.draw(filtered_guarded(formulas))
+    for v, cls in data.draw(st.lists(st.tuples(
+            st.sampled_from(VARS), st.sampled_from((S.Forall, S.Exists))),
+            max_size=2)):
+        f = cls(v, f)
+    assignment, env = _positional(data, s, f)
+    expected = naive_evaluate(s, f, env)
+    assert M.evaluate(s, f, assignment) == expected
+    if S.classify(f).adjacent:
+        lay = M.layered_from_structure(s, _layer_width(f))
+        assert M.evaluate_layered(lay, f, assignment) == expected
+        assert lay.overbound_queries == 0
+
+
+def _outcome(run):
+    """The value of ``run()``, or the message of the SemanticsError it
+    raises."""
+    try:
+        return run()
+    except M.SemanticsError as e:
+        return ("raises", str(e))
+
+
+QF_WITH_UNINTERPRETED = st.recursive(
+    st.builds(S.Atom, st.sampled_from(("p", "u")),
+              st.lists(st.sampled_from(VARS), min_size=1, max_size=1)
+              .map(tuple)),
+    lambda kids: st.one_of(
+        kids.map(S.Not),
+        st.lists(kids, min_size=1, max_size=3).map(lambda xs: S.And(tuple(xs))),
+        st.lists(kids, min_size=1, max_size=3).map(lambda xs: S.Or(tuple(xs))),
+        st.builds(S.Implies, kids, kids),
+        st.builds(S.Iff, kids, kids)),
+    max_leaves=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_filtered_loop_asks_what_a_per_match_loop_asks(data):
+    """The filtered loop's verdict, or the SemanticsError it raises, is the
+    per-match reference's, on a Structure and through evaluate_layered;
+    on the layer it asks ``holds`` the same (predicate, tuple) sequence."""
+    s = data.draw(structures())
+    f = data.draw(filtered_guarded(QF_WITH_UNINTERPRETED,
+                                   PREDS + UNINTERPRETED, distinct=True))
+    assignment, env = _positional(data, s, f)
+    expected = _outcome(lambda: per_match(s, f, env, s.holds))
+    assert _outcome(lambda: M.evaluate(s, f, assignment)) == expected
+    if not {a.pred for a in S.atoms(f)} & {"u", "w"}:
+        assert expected == naive_evaluate(s, f, env)
+    if not S.classify(f).adjacent:
+        return
+    lay = M.layered_from_structure(s, _layer_width(f))
+    asked, reference = [], []
+
+    def recording(log):
+        def holds(name, args):
+            log.append((name, args))
+            return M.LayeredStructure.holds(lay, name, args)
+        return holds
+
+    lay.holds = recording(asked)
+    got = _outcome(lambda: M.evaluate_layered(lay, f, assignment))
+    lay.holds = recording(reference)
+    assert got == _outcome(lambda: per_match(lay, S.adjacent_form(f), env,
+                                             lay.holds)) == expected
+    assert asked == reference
+    assert lay.overbound_queries == 0
 
 
 # ---------------------------------------------------------------------------
