@@ -298,7 +298,8 @@ def run(argv) -> int:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
     except (FormulaError, ParseError, W.WordError, M.SemanticsError,
-            H.MachineError, OSError, json.JSONDecodeError) as exc:
+            H.MachineError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

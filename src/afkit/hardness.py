@@ -561,9 +561,10 @@ def encode_atm(machine: ATM, w: str, literal_succ: bool = False) -> Encoding:
     signature, size = S.signature_and_size(sentence)
     budget = SIZE_CONSTANT * (len(machine.states) + len(machine.alphabet)) ** 2
     budget *= max(n, 1) ** 2
-    assert size <= budget, (
-        f"encoding size {size} exceeds the documented "
-        f"polynomial budget {budget}")
+    if size > budget:
+        raise RuntimeError(
+            f"internal consistency failure: encoding size {size} exceeds "
+            f"the documented polynomial budget {budget}")
     return Encoding(n, tuple(conjuncts),
                     {name: arity for (name, arity) in signature.items()})
 

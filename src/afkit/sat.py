@@ -997,6 +997,8 @@ def brute_force_sat(f: Formula, max_n: int = 3) -> Optional[M.Structure]:
                     args for (n2, args), v in assign.items()
                     if n2 == name and v)
             model = M.Structure(domain, exts)
-            assert M.evaluate(model, f)
+            if not M.evaluate(model, f):
+                raise RuntimeError("internal consistency failure: the "
+                                   "oracle's model fails the sentence")
             return model
     return None

@@ -34,8 +34,7 @@ class Structure:
     def __post_init__(self):
         dom = set(self.domain)
         for (name, arity), ext in self.extensions.items():
-            if set(map(len, ext)) <= {arity} and dom.issuperset(
-                    itertools.chain.from_iterable(ext)):
+            if _fits(dom, arity, ext):
                 continue
             for t in ext:
                 if len(t) != arity:
@@ -69,6 +68,13 @@ class Structure:
         return {}
 
 
+def _fits(dom: set, arity: int, tuples) -> bool:
+    """Whether each of ``tuples`` (tuples or lists) has ``arity`` entries,
+    all in ``dom``: the test of a structure's extensions, in C."""
+    return set(map(len, tuples)) <= {arity} and dom.issuperset(
+        itertools.chain.from_iterable(tuples))
+
+
 def make_structure(domain: Sequence, extensions: Mapping) -> Structure:
     exts = {k: frozenset(map(tuple, v)) for k, v in extensions.items()}
     return Structure(tuple(domain), exts)
@@ -86,9 +92,10 @@ def structure_from_json(text: str) -> Structure:
     if not isinstance(preds, dict):
         raise SemanticsError("'predicates' must be an object")
     exts: dict = {}
+    dom, fits = set(domain), True
     for key, val in preds.items():
         name, _, arity_s = key.partition("/")
-        if not arity_s.isdigit():
+        if not (arity_s.isascii() and arity_s.isdigit()):
             raise SemanticsError(f"predicate key {key!r} is not 'name/arity'")
         arity = int(arity_s)
         if arity == 0:
@@ -102,6 +109,12 @@ def structure_from_json(text: str) -> Structure:
                 exts[(name, arity)] = frozenset(map(tuple, val))
             except TypeError:
                 raise SemanticsError(f"{key}: tuples are lists of domain elements")
+            # The decoded lists are read in file order, faster than the
+            # frozenset's hash order.
+            fits = fits and _fits(dom, arity, val)
+    if fits:
+        return Structure._unchecked(tuple(domain), exts)
+    # The checked constructor names the tuple that fails.
     return Structure(tuple(domain), exts)
 
 
@@ -271,6 +284,17 @@ def evaluate(s: Structure, f: Formula,
     its body is asked, before the next match is read, so the atoms asked,
     their order and the point where an error is raised are those of a
     loop that tests each match in turn.
+    On a ``Structure``, a guarded block whose guard is dense, with no more
+    assignments to its k distinct variables than tuples in its extension
+    (``len(domain) ** k <= len(extension)``), enumerates the domain
+    instead, provided every predicate of its body is interpreted: building
+    the table scans every tuple of the extension, so at least as many as
+    the loops over the domain try, and on a dense guard the table saves no
+    work.  Sparse guards keep the table, as do the guards of a
+    ``LayeredStructure``, so that its ``holds`` calls and
+    ``overbound_queries`` stay those of the match loop, and blocks that
+    read an uninterpreted predicate, so that the error raised stays the
+    one the first match meets.
     Every other quantifier enumerates the domain, except that one whose
     variable is not free in its body evaluates the body once.  An unbound
     variable or an uninterpreted predicate raises ``SemanticsError`` when
@@ -445,9 +469,10 @@ class _Compiler:
     def quantifier(self, f: Formula, scope: dict):
         """A guarded quantifier over the guard's matches that pass the
         body's leading literal tests, each written to the chain's slots in
-        turn; any other over the domain.  The guard is
-        that of the first split whose guard holds the chain's variables,
-        except a body that is one atom, which is left to the domain."""
+        turn, unless its guard is ``dense``; any other over the domain.
+        The guard is that of the first split whose guard holds the chain's
+        variables, except a body that is one atom, which is left to the
+        domain."""
         cls, chain, body = syntax.quantifier_block(f)
         stop = cls is Exists
         guarded = next(((guard, rest) for guard, rest
@@ -457,6 +482,8 @@ class _Compiler:
         if guarded is None or not free_vars(body) <= scope.keys() | set(chain):
             return self.domain_loop(f, stop, scope)
         guard, rest = guarded
+        if self.dense(guard, body):
+            return self.domain_loop(f, stop, scope)
         # A quantified variable shadows any outer binding of its name.
         bound = tuple(dict.fromkeys(a for a in guard.args if a not in chain))
         variables = tuple(dict.fromkeys(guard.args))
@@ -498,6 +525,18 @@ class _Compiler:
                         return stop
             return not stop
         return quantify
+
+    def dense(self, guard: Atom, body: Formula) -> bool:
+        """Whether the guarded block with this ``body`` is left to the
+        domain: in a Structure, when the guard's distinct variables have
+        no more assignments than its extension has tuples, and every
+        predicate the body reads is interpreted, so that no error depends
+        on the order in which bindings are tried."""
+        ext = self.exts.get((guard.pred, guard.arity))
+        return (isinstance(self.s, Structure) and ext is not None
+                and len(self.s.domain) ** len(set(guard.args)) <= len(ext)
+                and all((g.pred, g.arity) in self.exts
+                        for g in syntax.atoms(body)))
 
     def test(self, f: Formula, quantified: tuple):
         """A literal test of f over rows of the ``quantified`` variables, or

@@ -361,9 +361,19 @@ def test_oracle_on_u_v_names(capsys, formula_file):
      "q/0: proposition letters are booleans"),
     ('{"domain": ["a"], "predicates": {"p/1": [[["a"]]]}}',
      "p/1: tuples are lists of domain elements"),
+    # Superscript two and Arabic-Indic one are digits, but not ASCII ones.
+    ('{"domain": ["a"], "predicates": {"p/\\u00b2": [["a", "a"]]}}',
+     "predicate key 'p/\u00b2' is not 'name/arity'"),
+    ('{"domain": ["a"], "predicates": {"q/\\u0661": [["a"]]}}',
+     "predicate key 'q/\u0661' is not 'name/arity'"),
+    ('{"domain": ["a", "b"], "predicates": {"p/2": [["a", "b"], ["b"]]}}',
+     "tuple ('b',) in p/2 has wrong arity"),
+    ('{"domain": ["a"], "predicates": {"p/1": [["a"], ["b"]]}}',
+     "tuple ('b',) in p/1 leaves the domain"),
 ], ids=["tuple-not-list", "list-element", "predicates-list", "domain-number",
         "no-domain", "key-without-arity", "letter-not-boolean",
-        "nested-tuple"])
+        "nested-tuple", "superscript-arity", "arabic-indic-arity",
+        "wrong-arity", "leaves-domain"])
 def test_check_rejects_malformed_structure(capsys, formula_file, tmp_path,
                                            text, message):
     bad = tmp_path / "bad.json"
@@ -371,6 +381,26 @@ def test_check_rejects_malformed_structure(capsys, formula_file, tmp_path,
     code, out, err = run(capsys, "check", formula_file("forall x1 p(x1)"),
                          str(bad))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sat", "{bad}"],
+    ["check", "{bad}", "{structure}"],
+    ["check", "{formula}", "{bad}"],
+    ["atm", "verify", "{bad}", "1"],
+], ids=["sat", "check-formula", "check-structure", "atm-verify"])
+def test_input_that_is_not_utf8_is_an_input_error(capsys, formula_file,
+                                                  tmp_path, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    structure = tmp_path / "s.json"
+    structure.write_text('{"domain": ["a"], "predicates": {"p/1": []}}')
+    paths = {"bad": str(bad), "structure": str(structure),
+             "formula": formula_file("forall x1 p(x1)")}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == ("error: 'utf-8' codec can't decode byte 0xff in position "
+                   "0: invalid start byte\n")
 
 
 def test_resource_cap_env_must_be_an_integer(capsys, formula_file,

@@ -169,6 +169,14 @@ def test_encoding_shape():
     assert S.node_count(literal.sentence()) != S.node_count(enc.sentence())
 
 
+def test_encoding_size_budget_is_checked(monkeypatch):
+    # The check is not an assert, so it holds under python -O too.
+    monkeypatch.setattr(H, "SIZE_CONSTANT", 0)
+    with pytest.raises(RuntimeError, match="internal consistency failure: "
+                       "encoding size [0-9]+ exceeds"):
+        H.encode_atm(_machine("hop"), "1")
+
+
 def test_verify_encoding_passes():
     report = H.verify_encoding(_machine("hop"), "1")
     assert report["pass"]

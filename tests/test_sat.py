@@ -809,6 +809,13 @@ def test_brute_force_oracle():
     assert X.brute_force_sat(f, max_n=3) == model
 
 
+def test_brute_force_oracle_checks_its_model(monkeypatch):
+    # The check is not an assert, so it holds under python -O too.
+    monkeypatch.setattr(M, "evaluate", lambda *args: False)
+    with pytest.raises(RuntimeError, match="internal consistency failure"):
+        X.brute_force_sat(S.parse("exists x1 p(x1)"), max_n=1)
+
+
 def test_verify_normal_form_matches_evaluate():
     f = S.parse(nf_text(["r(x2,x3)"], "r(x1,x2) -> r(x2,x1)", 2))
     nf = X.normalize(f)

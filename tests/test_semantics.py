@@ -669,3 +669,67 @@ def test_replaced_extension_is_seen_by_the_next_call():
     after = [naive_evaluate(s, f, {}) for f in fs]
     assert after != before
     assert [M.evaluate(s, f) for f in fs] == after
+
+
+# ---------------------------------------------------------------------------
+# Dense guards loop over the domain
+
+def _counting_guard_index(monkeypatch):
+    """Record the guard of each table that ``_guard_index`` builds."""
+    built, guard_index = [], M._guard_index
+
+    def counting(exts, guard, bound):
+        built.append(guard)
+        return guard_index(exts, guard, bound)
+    monkeypatch.setattr(M, "_guard_index", counting)
+    return built
+
+
+def test_dense_validity_builds_no_guard_table(monkeypatch):
+    """Acceptance test 3's structures: the guard of the validity sentence,
+    and of a variant that is not valid, builds no table where it has at
+    least as many tuples as its five variables have assignments, and one
+    table, which both sentences read, on the one-element structures where
+    it is empty; the verdicts are the naive oracle's."""
+    valid = S.parse("forall x1 forall x2 forall x3 exists x4 forall x5 "
+                    "(p(x1,x2,x3,x2,x3,x4,x5) -> p(x1,x2,x3,x4,x3,x4,x5))")
+    other = S.parse("forall x1 forall x2 forall x3 exists x4 forall x5 "
+                    "(p(x1,x2,x3,x2,x3,x4,x5) -> p(x5,x2,x3,x4,x3,x4,x1))")
+    built = _counting_guard_index(monkeypatch)
+    rng = random.Random(2026)
+    verdicts, dense = [], []
+    for _ in range(12):
+        size = rng.randint(1, 4)
+        domain = tuple(f"e{i}" for i in range(size))
+        ext = frozenset(t for t in itertools.product(domain, repeat=7)
+                        if rng.random() < 0.5)
+        s = M.Structure(domain, {("p", 7): ext})
+        before = len(built)
+        for f in (valid, other):
+            verdicts.append(M.evaluate(s, f))
+            assert verdicts[-1] == naive_evaluate(s, f, {})
+        dense.append(size ** 5 <= len(ext))
+        assert len(built) - before == (0 if dense[-1] else 1)
+    assert dense.count(False) == 2 and dense.count(True) == 10
+    assert all(verdicts[::2]) and not all(verdicts[1::2])
+
+
+@pytest.mark.parametrize("text", [
+    "forall x1 (p(x1) -> ((q(x1) & m(x1)) | n(x1)))",
+    "exists x1 (p(x1) & ((q(x1) & m(x1)) | n(x1)))"])
+def test_dense_guard_reading_uninterpreted_predicate_keeps_the_table(
+        monkeypatch, text):
+    """The guard p holds everywhere, but the body reads m and n, which are
+    not interpreted: the block still ranges over p's table, in its order,
+    and raises where the per-match loop raises.  The domain lists p's
+    first match last, so a loop over the domain would meet n first."""
+    f = S.parse(text)
+    ext = frozenset({("a",), ("b",)})
+    (first,), _ = ext
+    domain = tuple(sorted("ab", key=lambda e: e == first))
+    s = M.Structure(domain, {("p", 1): ext, ("q", 1): frozenset({(first,)})})
+    built = _counting_guard_index(monkeypatch)
+    expected = _outcome(lambda: per_match(s, f, {}, s.holds))
+    assert expected == ("raises", "predicate m/1 not interpreted")
+    assert _outcome(lambda: M.evaluate(s, f)) == expected
+    assert built == [S.Atom("p", ("x1",))]
