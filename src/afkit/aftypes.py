@@ -86,17 +86,19 @@ class AdjType:
             lits.append(a if val else syntax.Not(a))
         return syntax.make_and(lits or [syntax.TRUE])
 
-    def shift_up(self, by: int = 1) -> "AdjType":
-        moved = [((n, tuple(i + by for i in w)), b) for (n, w), b in self.items()]
-        moved.sort(key=lambda kv: kv[0])
-        return AdjType(tuple(k for k, _ in moved), tuple(b for _, b in moved))
+    def shift_up(self) -> "AdjType":
+        return self._renamed(lambda i: i + 1)
 
     def inverse(self, k: int) -> "AdjType":
         """The type of the reversed tuple: position i becomes k - i + 1."""
-        moved = [((n, tuple(k - i + 1 for i in w)), b)
-                 for (n, w), b in self.items()]
-        moved.sort(key=lambda kv: kv[0])
-        return AdjType(tuple(kk for kk, _ in moved), tuple(b for _, b in moved))
+        return self._renamed(lambda i: k - i + 1)
+
+    def _renamed(self, mapping) -> "AdjType":
+        """The type with each position i of its words mapped one-to-one to
+        ``mapping(i)``."""
+        moved = sorted(((n, tuple(map(mapping, w))), b)
+                       for (n, w), b in self.items())
+        return AdjType(tuple(k for k, _ in moved), tuple(b for _, b in moved))
 
     def entails(self, f: Formula) -> bool:
         """Propositional entailment; every atom of f must belong to this
@@ -193,8 +195,6 @@ def compile_qf(f: Formula, slots: dict):
         if kind is syntax.Iff:
             left, right = rec(g.left), rec(g.right)
             return lambda leaves: left(leaves) == right(leaves)
-        if kind is syntax.Unit:
-            return rec(g.body)
         if kind is syntax.Forall or kind is syntax.Exists:
             rec(g.body)
 
@@ -392,7 +392,6 @@ def project_circ(row, keys_ell: Iterable) -> Formula:
     Shannon-expanded over the sorted keys, first key first, skipping each
     key the sub-table does not depend on; a constant sub-table is TRUE or
     FALSE.  It never has more literals than the disjunction of the types."""
-    import numpy as np
     keys = sort_keys(keys_ell)
     TRUE, FALSE = syntax.TRUE, syntax.FALSE
 
@@ -422,8 +421,15 @@ def project_circ(row, keys_ell: Iterable) -> Formula:
         return syntax.make_or([syntax.make_and([off, low]),
                                syntax.make_and([on, high])])
 
-    return tree(int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
-                               "little"), 0)
+    return tree(row_masks(row[None])[0], 0)
+
+
+def row_masks(table) -> list:
+    """Per row of the two-dimensional boolean array ``table``, the integer
+    whose bit i is the row's cell i."""
+    import numpy as np
+    packed = np.packbits(table, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 # ---------------------------------------------------------------------------

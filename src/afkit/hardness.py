@@ -167,17 +167,11 @@ def bin_word(zero, one, value: int, m: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Guard-saturation sentences
 
-def _forall_chain(count: int, body: Formula) -> Formula:
-    for k in range(count, 0, -1):
-        body = S.Forall(S.var(k), body)
-    return body
-
-
 def build_zeta(p_name: str, g_name: str, m: int) -> Formula:
     """Saturation sentence: a pair in the binary predicate generates the
     (m+2)-ary guard on every word over the pair, via the index maps."""
     x, y = S.var(1), S.var(2)
-    first = _forall_chain(2, S.Implies(
+    first = S.forall_prefix(2, S.Implies(
         S.Atom(p_name, (x, y)),
         S.Atom(g_name, (x, y) + (y,) * m)))
     conjuncts = [first]
@@ -186,7 +180,7 @@ def build_zeta(p_name: str, g_name: str, m: int) -> Formula:
     for i in (1, 2, 3):
         walk = lambda_walk(i, m)
         image = S.Atom(g_name, tuple(S.var(p) for p in walk))
-        conjuncts.append(_forall_chain(m + 2, S.Implies(guard, image)))
+        conjuncts.append(S.forall_prefix(m + 2, S.Implies(guard, image)))
     return S.make_and(conjuncts)
 
 
@@ -195,7 +189,7 @@ def build_epsilon(r_name: str, f_name: str, m: int) -> Formula:
     (2m+4)-ary guard on every framed word, via paired index maps."""
     # Quadruple layout y x x' y' = x1 x2 x3 x4.
     y, x, x2, y2 = S.var(1), S.var(2), S.var(3), S.var(4)
-    first = _forall_chain(4, S.Implies(
+    first = S.forall_prefix(4, S.Implies(
         S.Atom(r_name, (y, x, x2, y2)),
         S.Atom(f_name, (y,) * m + (y, x, x2, y2) + (y2,) * m)))
     # Closure conjuncts: the guard's first half holds u_{m+2}..u_1 with
@@ -209,7 +203,7 @@ def build_epsilon(r_name: str, f_name: str, m: int) -> Formula:
             lj = lambda_walk(j, m)
             front = tuple(S.var(m + 3 - li[m + 2 - p]) for p in range(1, m + 3))
             back = tuple(S.var(m + 2 + lj[p - 1]) for p in range(1, m + 3))
-            conjuncts.append(_forall_chain(
+            conjuncts.append(S.forall_prefix(
                 width, S.Implies(guard, S.Atom(f_name, front + back))))
     return S.make_and(conjuncts)
 
@@ -237,6 +231,10 @@ class ATM:
     name: str = "machine"
 
     def __post_init__(self):
+        for what, names in (("state", self.states), ("symbol", self.alphabet)):
+            for i, a in enumerate(names):
+                if a in names[:i]:
+                    raise MachineError(f"{what} {a!r} declared twice")
         if BLANK not in self.alphabet:
             raise MachineError(f"alphabet must contain the blank {BLANK!r}")
         if self.initial not in self.states:
@@ -446,11 +444,11 @@ def encode_atm(machine: ATM, w: str, literal_succ: bool = False) -> Encoding:
     v_xy = S.Atom("V", (x, y))
     us = [S.var(i) for i in range(3, n + 3)]
 
-    phi1 = _forall_chain(2, S.Implies(
+    phi1 = S.forall_prefix(2, S.Implies(
         v_xy, S.And((S.Not(_o(x)), _o(y)))))
 
     phi2 = S.make_and([
-        _forall_chain(2, S.Implies(v_xy, S.make_or(
+        S.forall_prefix(2, S.Implies(v_xy, S.make_or(
             [S.Not(S.Atom(_pred_q(p), (x, y))),
              S.Not(S.Atom(_pred_q(q), (x, y)))])))
         for p, q in itertools.combinations(machine.states, 2)
@@ -458,14 +456,14 @@ def encode_atm(machine: ATM, w: str, literal_succ: bool = False) -> Encoding:
 
     g_n_guard = S.Atom(G_N, (x, y) + tuple(us))
     phi3 = S.make_and([
-        _forall_chain(n + 2, S.Implies(g_n_guard, S.Not(S.And((
+        S.forall_prefix(n + 2, S.Implies(g_n_guard, S.Not(S.And((
             S.Atom(_pred_s(s), tuple(us)),
             S.Atom(_pred_s(s2), tuple(us)))))))
         for s, s2 in itertools.combinations(machine.alphabet, 2)
     ] or [S.TRUE])
 
     vs = [S.var(i) for i in range(n + 3, 2 * n + 3)]
-    phi4 = _forall_chain(2 * n + 2, S.Implies(
+    phi4 = S.forall_prefix(2 * n + 2, S.Implies(
         S.Atom(G_2N, (x, y) + tuple(us) + tuple(vs)),
         S.Implies(S.And((S.Atom("H", tuple(us)), S.Atom("H", tuple(vs)))),
                   eq_formula(us, vs))))
@@ -483,11 +481,11 @@ def encode_atm(machine: ATM, w: str, literal_succ: bool = False) -> Encoding:
         inner = S.Forall(S.var(k), inner)
     phi5 = S.And((
         S.Exists(x, S.Exists(y, S.And((v_xy, S.Atom("R", (x, y)))))),
-        _forall_chain(2, S.Implies(S.Atom("R", (x, y)),
-                                   S.And((mu1, inner))))))
+        S.forall_prefix(2, S.Implies(S.Atom("R", (x, y)),
+                                     S.And((mu1, inner))))))
 
     rejecting = [q for q in machine.states if machine.is_rejecting_state(q)]
-    phi6 = _forall_chain(2, S.Implies(
+    phi6 = S.forall_prefix(2, S.Implies(
         v_xy,
         S.Not(S.make_or([S.Atom(_pred_q(q), (x, y)) for q in rejecting]))))
 
@@ -509,7 +507,7 @@ def encode_atm(machine: ATM, w: str, literal_succ: bool = False) -> Encoding:
                     S.Atom(f"E_{side}", quad))) for side in ("l", "r")]
         psi = (S.And(tuple(branches)) if descriptor == UNIVERSAL
                else S.make_or(branches))
-        phi7_parts.append(_forall_chain(2, S.Implies(
+        phi7_parts.append(S.forall_prefix(2, S.Implies(
             v_yx, S.Implies(k_disj, psi))))
     phi7 = S.make_and(phi7_parts)
 
@@ -522,7 +520,7 @@ def encode_atm(machine: ATM, w: str, literal_succ: bool = False) -> Encoding:
     frame = tuple(f_us) + (fy, fx, fx2, fy2) + tuple(f_vs)
     f_guard = S.Atom(F_N, frame)
 
-    phi8 = _forall_chain(2 * n + 4, S.Implies(
+    phi8 = S.forall_prefix(2 * n + 4, S.Implies(
         f_guard,
         S.Implies(
             S.And((S.Not(S.Atom("H", tuple(f_us))), eq_formula(f_us, f_vs))),
@@ -543,7 +541,7 @@ def encode_atm(machine: ATM, w: str, literal_succ: bool = False) -> Encoding:
                 S.Atom(_pred_q(q), (fx, fy)),
                 S.Atom("H", tuple(f_us)),
                 S.Atom(_pred_s(s), tuple(f_us))])
-            xi_list.append(_forall_chain(2 * n + 4, S.Implies(
+            xi_list.append(S.forall_prefix(2 * n + 4, S.Implies(
                 f_guard,
                 S.Implies(trigger, S.make_and([chi1, chi2, chi3])))))
     phi9 = S.make_and(xi_list or [S.TRUE])

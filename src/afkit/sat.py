@@ -50,16 +50,9 @@ class NormalFormFormula:
         return self.ell + 1
 
     def sentence(self) -> Formula:
-        conjuncts = []
-        for g in self.gammas:
-            body: Formula = S.Exists(S.var(self.ell + 1), g)
-            for k in range(self.ell, 0, -1):
-                body = S.Forall(S.var(k), body)
-            conjuncts.append(body)
-        body = self.delta
-        for k in range(self.ell + 1, 0, -1):
-            body = S.Forall(S.var(k), body)
-        conjuncts.append(body)
+        conjuncts = [S.forall_prefix(self.ell, S.Exists(S.var(self.ell + 1), g))
+                     for g in self.gammas]
+        conjuncts.append(S.forall_prefix(self.ell + 1, self.delta))
         return S.make_and(conjuncts)
 
 
@@ -424,9 +417,7 @@ def _link_tables(nf: NormalFormFormula, keys: tuple, codes, atom_cap: int,
 
 def _masks(table, codes) -> list:
     """Per row of ``table``, its true cells among ``codes`` as a bitmask."""
-    import numpy as np
-    packed = np.packbits(table[:, codes], axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return T.row_masks(table[:, codes])
 
 
 def _bits(mask: int):
@@ -904,8 +895,6 @@ def _ground(f: Formula, domain: tuple, env: dict):
     """Ground a sentence to a propositional tree over ground-atom keys."""
     if isinstance(f, S.Atom):
         return ("atom", (f.pred, tuple(env[x] for x in f.args)))
-    if isinstance(f, S.Unit):
-        return _ground(f.body, domain, env)
     if isinstance(f, S.Not):
         return ("not", _ground(f.body, domain, env))
     if isinstance(f, S.And):

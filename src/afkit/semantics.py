@@ -33,16 +33,8 @@ class Structure:
 
     def __post_init__(self):
         dom = set(self.domain)
-        for (name, arity), ext in self.extensions.items():
-            if _fits(dom, arity, ext):
-                continue
-            for t in ext:
-                if len(t) != arity:
-                    raise SemanticsError(
-                        f"tuple {t!r} in {name}/{arity} has wrong arity")
-                if not dom.issuperset(t):
-                    raise SemanticsError(
-                        f"tuple {t!r} in {name}/{arity} leaves the domain")
+        for key, ext in self.extensions.items():
+            _check(dom, key, ext)
 
     @classmethod
     def _unchecked(cls, domain: tuple, extensions: Mapping) -> "Structure":
@@ -68,11 +60,21 @@ class Structure:
         return {}
 
 
-def _fits(dom: set, arity: int, tuples) -> bool:
-    """Whether each of ``tuples`` (tuples or lists) has ``arity`` entries,
-    all in ``dom``: the test of a structure's extensions, in C."""
-    return set(map(len, tuples)) <= {arity} and dom.issuperset(
-        itertools.chain.from_iterable(tuples))
+def _check(dom: set, key: tuple, tuples) -> None:
+    """Check in C that each of ``tuples`` (tuples or lists) has the arity
+    of ``key`` = (name, arity) and its entries in ``dom``, or name the first
+    bad tuple in the order given, a wrong arity before a foreign entry."""
+    name, arity = key
+    if set(map(len, tuples)) <= {arity} and dom.issuperset(
+            itertools.chain.from_iterable(tuples)):
+        return
+    for t in tuples:
+        if len(t) != arity:
+            raise SemanticsError(
+                f"tuple {tuple(t)!r} in {name}/{arity} has wrong arity")
+        if not dom.issuperset(t):
+            raise SemanticsError(
+                f"tuple {tuple(t)!r} in {name}/{arity} leaves the domain")
 
 
 def make_structure(domain: Sequence, extensions: Mapping) -> Structure:
@@ -92,7 +94,7 @@ def structure_from_json(text: str) -> Structure:
     if not isinstance(preds, dict):
         raise SemanticsError("'predicates' must be an object")
     exts: dict = {}
-    dom, fits = set(domain), True
+    lists: dict = {}  # (name, arity) -> its decoded tuples, for the check
     for key, val in preds.items():
         name, _, arity_s = key.partition("/")
         if not (arity_s.isascii() and arity_s.isdigit()):
@@ -109,13 +111,12 @@ def structure_from_json(text: str) -> Structure:
                 exts[(name, arity)] = frozenset(map(tuple, val))
             except TypeError:
                 raise SemanticsError(f"{key}: tuples are lists of domain elements")
-            # The decoded lists are read in file order, faster than the
-            # frozenset's hash order.
-            fits = fits and _fits(dom, arity, val)
-    if fits:
-        return Structure._unchecked(tuple(domain), exts)
-    # The checked constructor names the tuple that fails.
-    return Structure(tuple(domain), exts)
+            lists[(name, arity)] = val
+    # In file order: the frozensets' order follows the string hash seed.
+    dom = set(domain)
+    for key, val in lists.items():
+        _check(dom, key, val)
+    return Structure._unchecked(tuple(domain), exts)
 
 
 def _json_scalar(a) -> str:
@@ -431,8 +432,6 @@ class _Compiler:
             get = _getter([scope[a] for a in f.args])
             member = self.member(f)
             return lambda env: member(get(env))
-        if isinstance(f, syntax.Unit):
-            return self.compile(f.body, scope)
         if isinstance(f, Not):
             body = self.compile(f.body, scope)
             return lambda env: not body(env)

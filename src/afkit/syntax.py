@@ -14,6 +14,8 @@ import re
 from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Sequence, Union
 
+from . import words as W
+
 
 class FormulaError(ValueError):
     """Domain error raised by formula operations."""
@@ -83,14 +85,14 @@ class Exists:
 
 
 @dataclass(frozen=True)
-class Unit:
+class _Unit:
     """Inert wrapper used internally by the two-variable translations.
     Semantically transparent; stripped before any result is returned."""
 
     body: "Formula"
 
 
-Formula = Union[Atom, Not, And, Or, Implies, Iff, Forall, Exists, Unit]
+Formula = Union[Atom, Not, And, Or, Implies, Iff, Forall, Exists]
 
 TRUE = And(())
 FALSE = Or(())
@@ -132,10 +134,17 @@ def var(i: int) -> str:
     return f"x{i}"
 
 
+def forall_prefix(k: int, body: Formula) -> Formula:
+    """forall x1 ... forall xk body."""
+    for i in range(k, 0, -1):
+        body = Forall(var(i), body)
+    return body
+
+
 def children(f: Formula) -> tuple:
     if isinstance(f, Atom):
         return ()
-    if isinstance(f, (Not, Unit)):
+    if isinstance(f, (Not, _Unit)):
         return (f.body,)
     if isinstance(f, (And, Or)):
         return f.args
@@ -149,8 +158,8 @@ def rebuild(f: Formula, parts: Sequence[Formula]) -> Formula:
         return f
     if isinstance(f, Not):
         return Not(parts[0])
-    if isinstance(f, Unit):
-        return Unit(parts[0])
+    if isinstance(f, _Unit):
+        return _Unit(parts[0])
     if isinstance(f, And):
         return And(tuple(parts))
     if isinstance(f, Or):
@@ -230,7 +239,7 @@ def signature_and_size(f: Formula) -> tuple:
 
 
 def strip_units(f: Formula) -> Formula:
-    if isinstance(f, Unit):
+    if isinstance(f, _Unit):
         return strip_units(f.body)
     return rebuild(f, [strip_units(c) for c in children(f)])
 
@@ -444,8 +453,6 @@ def render(f: Formula) -> str:
             if not g.args:
                 return g.pred
             return f"{g.pred}({','.join(g.args)})"
-        if isinstance(g, Unit):
-            return rec(g.body, ctx)
         if isinstance(g, (Forall, Exists)):
             kw = "forall" if isinstance(g, Forall) else "exists"
             # Quantifiers scope maximally right, so they always get
@@ -513,10 +520,6 @@ def _word_of(atom: Atom) -> Optional[tuple]:
     return idx
 
 
-def _word_adjacent(w: tuple) -> bool:
-    return all(abs(w[i + 1] - w[i]) <= 1 for i in range(len(w) - 1))
-
-
 def _af_levels(f: Formula) -> tuple:
     """The levels k at which f belongs to the adjacent fragment, as an
     interval ``(lo, hi)`` with ``hi`` possibly ``math.inf``; ``lo > hi``
@@ -526,7 +529,7 @@ def _af_levels(f: Formula) -> tuple:
     children's intervals."""
     if isinstance(f, Atom):
         w = _word_of(f)
-        if w is None or not _word_adjacent(w):
+        if w is None or not W.is_adjacent(w):
             return (1, 0)
         return (max(w, default=0), math.inf)
     if isinstance(f, Not):
@@ -681,7 +684,7 @@ def walk_mapping(g: Sequence[int], shift: int):
     ``shift_up(substitute_walk(chi, g), shift)`` in one renaming.  Raises
     ``FormulaError`` if g is not adjacent, and when applied to an index
     outside g's domain."""
-    if not _word_adjacent(tuple(g)):
+    if not W.is_adjacent(g):
         raise FormulaError(f"walk {list(g)} is not adjacent")
 
     def mapping(i: int) -> int:
@@ -728,9 +731,9 @@ def _nnf(f: Formula, neg: bool) -> Formula:
     already be inside units."""
     if isinstance(f, Atom):
         return Not(f) if neg else f
-    if isinstance(f, Unit):
+    if isinstance(f, _Unit):
         # Units are inert: a negation is absorbed rather than expanded.
-        return Unit(Not(f.body)) if neg else f
+        return _Unit(Not(f.body)) if neg else f
     if isinstance(f, Not):
         return _nnf(f.body, not neg)
     if isinstance(f, And):
@@ -754,7 +757,7 @@ def _clauses(f: Formula, mode: str) -> list:
     def is_literal(g: Formula) -> bool:
         if isinstance(g, Not):
             g = g.body
-        return isinstance(g, (Atom, Unit))
+        return isinstance(g, (Atom, _Unit))
 
     inner, outer = (Or, And) if mode == "cnf" else (And, Or)
     stage = f"{mode.upper()} conversion"
@@ -834,7 +837,7 @@ def _split_clauses(f: Formula) -> Formula:
             with_y = [l for l in clause if y in free_vars(l)]
             rest = [l for l in clause if y not in free_vars(l)]
             if with_y:
-                rest = [Unit(type(f)(y, inner(with_y)))] + rest
+                rest = [_Unit(type(f)(y, inner(with_y)))] + rest
             parts.append(inner(rest))
         return outer(parts)
     return rebuild(f, [_split_clauses(c) for c in children(f)])

@@ -52,8 +52,6 @@ def qf_array(f: Formula, leaf, cache: dict):
         if atom not in cache:
             cache[atom] = leaf(atom_key(f))
         return cache[atom]
-    if isinstance(f, syntax.Unit):
-        return qf_array(f.body, leaf, cache)
     if isinstance(f, syntax.Not):
         return ~qf_array(f.body, leaf, cache)
     if isinstance(f, syntax.And):

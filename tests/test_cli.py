@@ -167,6 +167,23 @@ def test_atm_verbs(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("line,repeated,message", [
+    ("states: q0:E qa:U", "states: q0:E qa:U qa:U", "state 'qa' declared twice"),
+    ("alphabet: _ 1", "alphabet: _ 1 1", "symbol '1' declared twice"),
+], ids=["state", "symbol"])
+def test_machine_declaring_a_name_twice_is_an_input_error(
+        capsys, tmp_path, line, repeated, message):
+    # The encoder would say that the repeated name is not the name itself:
+    # !(Q_qa & Q_qa) or !(S_1 & S_1), which no accepting run satisfies.
+    text = (DATA / "hop.atm").read_text()
+    assert line + "\n" in text
+    machine = tmp_path / "twice.atm"
+    machine.write_text(text.replace(line + "\n", repeated + "\n"))
+    for verb in ("simulate", "encode", "verify"):
+        code, out, err = run(capsys, "atm", verb, str(machine), "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_bad_inputs_exit_two(capsys, formula_file, tmp_path):
     code, _, err = run(capsys, "classify", str(tmp_path / "missing.af"))
     assert code == 2 and "error" in err
@@ -381,6 +398,36 @@ def test_check_rejects_malformed_structure(capsys, formula_file, tmp_path,
     code, out, err = run(capsys, "check", formula_file("forall x1 p(x1)"),
                          str(bad))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_structure_error_names_the_first_bad_tuple_in_file_order(
+        formula_file, tmp_path):
+    # r/2's first bad tuple both has the wrong arity and leaves the domain;
+    # the later ones, and p/1's, are bad in one way or the other.  The
+    # frozenset of r/2's tuples lists them in an order that follows the
+    # string hash seed.
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"domain": ["a", "b"], "predicates": {"q/1": [["a"]], '
+        '"r/2": [["a", "b"], ["d"], ["a", "d"], ["b", "a", "a"], ["d", "a"], '
+        '["a", "b", "c"]], "p/1": [["a"], ["c"]]}}')
+    command = _af_command("check", formula_file("forall x1 p(x1)"), str(bad))
+    for seed in ("1", "2", "3"):
+        command["env"]["PYTHONHASHSEED"] = seed
+        done = subprocess.run(**command, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, b"", b"error: tuple ('d',) in r/2 has wrong arity\n"), seed
+
+
+def test_structure_keeps_the_last_list_of_a_predicate(capsys, formula_file,
+                                                      tmp_path):
+    """``p/1`` and ``p/01`` name one predicate; the bad tuples of the list
+    that the later key replaces are not read."""
+    s = tmp_path / "s.json"
+    s.write_text('{"domain": ["a"], "predicates": '
+                 '{"p/1": [["b"], ["a", "a"]], "p/01": [["a"]]}}')
+    assert run(capsys, "check", formula_file("forall x1 p(x1)"), str(s)) == (
+        0, "true\n", "")
 
 
 @pytest.mark.parametrize("argv", [

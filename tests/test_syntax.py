@@ -6,11 +6,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afkit.semantics as M
 import afkit.syntax as S
 import afkit.words as W
-from corpus import CLASSIFY_CORPUS
+from corpus import CLASSIFY_CORPUS, LEVEL2_CORPUS, PRODUCT_CORPUS
 
 
 def test_parse_render_roundtrip_on_corpus():
@@ -227,3 +229,38 @@ RENAMING_DIGEST = (
 def test_renaming_outcomes_golden():
     lines = "\n".join(renaming_outcome(f) for f in random_formulas(10, 1000))
     assert hashlib.sha256(lines.encode()).hexdigest() == RENAMING_DIGEST
+
+
+# The node kinds the parser builds: the two-variable translations wrap
+# quantified subformulas in a marker of their own, which none of their
+# results may hold.
+PARSER_KINDS = {S.Atom, S.Not, S.And, S.Or, S.Implies, S.Iff, S.Forall,
+                S.Exists}
+
+
+def translation_kinds(formulas) -> tuple:
+    """The number of results of fo2_to_af and af_to_fo2 over formulas, and
+    the set of node kinds in them."""
+    count, kinds = 0, set()
+    for f in formulas:
+        for fn in (S.fo2_to_af, S.af_to_fo2):
+            try:
+                out = fn(f)
+            except (S.FormulaError, S.ResourceError):
+                continue
+            count += 1
+            kinds.update(map(type, S.subformulas(out)))
+    return count, kinds
+
+
+def test_translations_return_parser_nodes_on_corpora():
+    texts = ([t for t, *_ in CLASSIFY_CORPUS] + PRODUCT_CORPUS
+             + LEVEL2_CORPUS)
+    count, kinds = translation_kinds(map(S.parse, texts))
+    assert count >= len(texts) and kinds <= PARSER_KINDS
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 1 << 32))
+def test_translations_return_parser_nodes_on_random_formulas(seed):
+    assert translation_kinds(random_formulas(seed, 20))[1] <= PARSER_KINDS
